@@ -301,13 +301,14 @@ fn pipeline_section(chip: &ChipSpec, elements: u64) -> Value {
     ];
     let refs: Vec<&dyn Operator> = ops.iter().map(AsRef::as_ref).collect();
 
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let cold_start = Instant::now();
-    let cold = pipeline.run_batch(&refs);
+    let cold = pipeline.run_batch_with_workers(&refs, workers);
     let cold_secs = cold_start.elapsed().as_secs_f64();
     let cold_ok = cold.iter().filter(|r| r.is_ok()).count();
 
     let warm_start = Instant::now();
-    let warm = pipeline.run_batch(&refs);
+    let warm = pipeline.run_batch_with_workers(&refs, workers);
     let warm_secs = warm_start.elapsed().as_secs_f64();
     let warm_ok = warm.iter().filter(|r| r.is_ok()).count();
 

@@ -424,7 +424,7 @@ fn run_schedule(
         let clean = *expected.entry(*key).or_insert_with(|| {
             let spec = &specs[key];
             oracle
-                .run_supervised(spec.instantiate().as_ref(), &RunPolicy::default())
+                .run_supervised(spec.instantiate().as_ref(), &RunPolicy::default(), None)
                 .ok()
                 .map(|clean| result_digest(&clean))
         });

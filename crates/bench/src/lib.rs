@@ -23,7 +23,7 @@ pub use env::{env_knob, parse_env};
 
 use ascend_arch::ChipSpec;
 use ascend_ops::Operator;
-use ascend_pipeline::{AnalysisPipeline, AuditPolicy, BatchJournal, RunPolicy};
+use ascend_pipeline::{AnalysisPipeline, AuditPolicy, RunPolicy};
 use ascend_profile::Profile;
 use ascend_roofline::RooflineAnalysis;
 use ascend_sim::{SimBudget, Trace};
@@ -164,7 +164,7 @@ fn env_f64(name: &str) -> Option<f64> {
 #[must_use]
 pub fn run_op(chip: &ChipSpec, op: &dyn Operator) -> (Profile, Trace, RooflineAnalysis) {
     let result = pipeline_for(chip)
-        .run_supervised(op, &run_policy())
+        .run_supervised(op, &run_policy(), None)
         .unwrap_or_else(|err| panic!("operator {:?} failed:\n{}", op.name(), error_chain(&err)));
     (result.profile.clone(), result.trace.clone(), result.analysis.clone())
 }
@@ -205,35 +205,6 @@ pub fn experiments_dir() -> PathBuf {
         || PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments"),
         PathBuf::from,
     )
-}
-
-/// Opens (or resumes) the write-ahead journal for a named batch sweep:
-/// `<experiments_dir>/<name>.journal.jsonl`. Pass it to
-/// [`AnalysisPipeline::run_batch_resumable`] so a killed sweep picks up
-/// where it left off instead of re-simulating finished items. Errors
-/// are reported but not fatal (the sweep still runs, just without
-/// resumability), matching the artifact writers below.
-#[must_use]
-pub fn batch_journal(name: &str) -> Option<BatchJournal> {
-    let path = experiments_dir().join(format!("{name}.journal.jsonl"));
-    match BatchJournal::open(&path) {
-        Ok(journal) => {
-            let recovery = journal.recovery();
-            if recovery.recovered > 0 || recovery.dropped > 0 {
-                println!(
-                    "[journal] {}: resumed {} item(s), dropped {} damaged line(s)",
-                    path.display(),
-                    recovery.recovered,
-                    recovery.dropped
-                );
-            }
-            Some(journal)
-        }
-        Err(err) => {
-            eprintln!("warning: cannot open journal {}: {err}", path.display());
-            None
-        }
-    }
 }
 
 /// Writes `contents` to `<experiments_dir>/<name>`, creating the
@@ -315,25 +286,6 @@ mod tests {
         let chain = error_chain(&err);
         assert!(chain.contains("simulation failed"), "{chain}");
         assert!(chain.contains("caused by: watchdog budget exceeded"), "{chain}");
-    }
-
-    #[test]
-    fn batch_journal_lives_under_the_experiments_dir() {
-        let journal = batch_journal("selftest_batch").expect("journal opens");
-        assert!(journal.path().starts_with(experiments_dir()));
-        assert!(journal.path().ends_with("selftest_batch.journal.jsonl"));
-        // Journaling a supervised result round-trips through the file.
-        let chip = ChipSpec::training();
-        let pipeline = pipeline_for(&chip);
-        let op = AddRelu::new(1 << 9);
-        let results = pipeline.run_batch_resumable(
-            &[&op as &dyn ascend_ops::Operator],
-            &run_policy(),
-            &journal,
-        );
-        assert!(results[0].is_ok());
-        assert_eq!(ascend_pipeline::BatchJournal::open(journal.path()).unwrap().len(), 1);
-        let _ = std::fs::remove_file(journal.path());
     }
 
     #[test]

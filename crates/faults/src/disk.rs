@@ -1,10 +1,10 @@
 //! Disk-fault injection: a file handle that fails like real storage.
 //!
-//! The journal and the result store both claim to survive what disks and
-//! crashes actually do — torn writes, `ENOSPC` mid-record, fsync
-//! refusal, bit rot, duplicated appends. Those claims are only worth
-//! anything if the failures are *reachable in tests*, deterministically.
-//! This module makes them so, in two complementary shapes:
+//! The result store claims to survive what disks and crashes actually
+//! do — torn writes, `ENOSPC` mid-record, fsync refusal, bit rot,
+//! duplicated appends. Those claims are only worth anything if the
+//! failures are *reachable in tests*, deterministically. This module
+//! makes them so, in two complementary shapes:
 //!
 //! * [`FaultyFile`] is a **live** injector: a `Read + Write + Seek`
 //!   handle over a real file that starts refusing service at a chosen
@@ -26,8 +26,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-/// The storage seam: everything a single-file storage layer (journal,
-/// result store) needs from its backing file, as a trait so tests can
+/// The storage seam: everything a single-file storage layer (the result
+/// store) needs from its backing file, as a trait so tests can
 /// substitute a [`FaultyFile`] for a real [`File`].
 pub trait DiskFile: Read + Write + Seek + Send {
     /// Flushes file data to the device (`fsync` minus metadata).
@@ -214,7 +214,7 @@ pub enum DiskFault {
     /// killed mid-append.
     TruncateTailBytes(u64),
     /// Removes the last `n` newline-terminated lines (for line-oriented
-    /// formats like the journal), keeping the file record-aligned.
+    /// formats), keeping the file record-aligned.
     DropTailLines(usize),
     /// Appends a byte-identical copy of the last complete line — the
     /// duplicate an append-retry-after-crash produces.

@@ -2,14 +2,10 @@
 //!
 //! [`FaultPlan`](crate::FaultPlan) corrupts what the *simulator* sees;
 //! this module corrupts what the *supervisor* sees: a [`PanicSwitch`]
-//! makes an operator die mid-batch after a chosen number of successes
-//! (standing in for a `kill -9` in tests of journal resume), and
-//! [`corrupt_journal`] applies the storage faults a real crash leaves
-//! behind — torn tails, lost records, duplicated records — so journal
-//! recovery is tested against the failures it claims to survive.
+//! makes an operator die mid-batch after a chosen number of successes,
+//! standing in for a `kill -9` in tests of batch resume. The storage
+//! faults a real crash leaves behind live in [`crate::corrupt_file`].
 
-use crate::disk::{corrupt_file, DiskFault};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -101,39 +97,6 @@ impl PanicSwitch {
     }
 }
 
-/// Storage faults a crash can leave in a JSON-lines journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalFault {
-    /// Chops `n` bytes off the end of the file — a torn final write
-    /// (record cut mid-line, usually losing its trailing newline).
-    TruncateTailBytes(u64),
-    /// Removes the last `n` complete records (whole lines).
-    DropLastRecords(usize),
-    /// Appends a byte-identical copy of the last complete record — the
-    /// duplicate an append-retry-after-crash produces.
-    DuplicateLastRecord,
-}
-
-/// Applies `fault` to the journal file at `path`.
-///
-/// A thin journal-flavoured facade over the shared [`corrupt_file`]
-/// injector: every `JournalFault` maps onto the [`DiskFault`] with the
-/// same byte-level effect, so the journal's recovery tests and the
-/// result store's exercise one implementation of "what crashes do".
-///
-/// # Errors
-///
-/// Propagates I/O failures; faulting an empty or missing journal is an
-/// error for the truncate/duplicate faults (there is nothing to corrupt).
-pub fn corrupt_journal(path: &Path, fault: JournalFault) -> std::io::Result<()> {
-    let disk_fault = match fault {
-        JournalFault::TruncateTailBytes(n) => DiskFault::TruncateTailBytes(n),
-        JournalFault::DropLastRecords(n) => DiskFault::DropTailLines(n),
-        JournalFault::DuplicateLastRecord => DiskFault::DuplicateTailLine,
-    };
-    corrupt_file(path, disk_fault)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,53 +122,5 @@ mod tests {
             switch.tick();
         }
         assert_eq!(switch.remaining(), None);
-    }
-
-    fn write_lines(dir: &Path, lines: &[&str]) -> std::path::PathBuf {
-        let path = dir.join("journal.jsonl");
-        let mut contents = String::new();
-        for line in lines {
-            contents.push_str(line);
-            contents.push('\n');
-        }
-        std::fs::write(&path, contents).unwrap();
-        path
-    }
-
-    fn tempdir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("ascend-faults-harness-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    #[test]
-    fn truncate_tail_tears_the_last_record() {
-        let dir = tempdir("truncate");
-        let path = write_lines(&dir, &["{\"a\":1}", "{\"b\":2}"]);
-        corrupt_journal(&path, JournalFault::TruncateTailBytes(3)).unwrap();
-        let contents = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(contents, "{\"a\":1}\n{\"b\":"); // torn, no trailing newline
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn drop_last_records_stays_record_aligned() {
-        let dir = tempdir("drop");
-        let path = write_lines(&dir, &["{\"a\":1}", "{\"b\":2}", "{\"c\":3}"]);
-        corrupt_journal(&path, JournalFault::DropLastRecords(2)).unwrap();
-        let contents = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(contents, "{\"a\":1}\n");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn duplicate_appends_the_last_record_again() {
-        let dir = tempdir("duplicate");
-        let path = write_lines(&dir, &["{\"a\":1}", "{\"b\":2}"]);
-        corrupt_journal(&path, JournalFault::DuplicateLastRecord).unwrap();
-        let contents = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(contents, "{\"a\":1}\n{\"b\":2}\n{\"b\":2}\n");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

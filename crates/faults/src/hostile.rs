@@ -45,7 +45,7 @@ pub enum HostileMode {
     /// wall-clock kill from outside the process ends it.
     Spin,
     /// `std::process::abort()` mid-build: dies by SIGABRT with no unwind,
-    /// no journal flush, no goodbye frame.
+    /// no store flush, no goodbye frame.
     Abort,
     /// Allocate and *touch* memory until roughly `megabytes` MiB are
     /// resident, then hold them and sleep — trips an RSS budget, not a

@@ -48,7 +48,7 @@ pub mod generator;
 pub use buggy::BuggyEngine;
 pub use chaos::{ddmin, ChaosConfig, ChaosFault, ChaosSchedule};
 pub use disk::{corrupt_file, DiskFault, DiskFile, FaultyFile};
-pub use harness::{corrupt_journal, JournalFault, PanicSwitch};
+pub use harness::PanicSwitch;
 pub use hostile::{
     grow_resident, heartbeats_muted, set_heartbeats_muted, sleep_forever, spin_forever,
     HostileMode, HostileOp,

@@ -2,7 +2,7 @@
 
 use crate::{ModelWorkload, OpInvocation, Phase};
 use ascend_arch::ChipSpec;
-use ascend_ops::LayerNorm;
+use ascend_ops::{LayerNorm, Operator};
 use ascend_optimize::{OptimizationReport, Optimizer};
 use ascend_pipeline::{
     AnalysisPipeline, AnalysisService, Fidelity, PipelineError, PipelineResult, Request, RunPolicy,
@@ -280,13 +280,19 @@ impl ModelRunner {
     ///
     /// Propagates the first (by model order) per-operator pipeline error.
     pub fn analyze(&self, model: &ModelWorkload) -> Result<ModelReport, PipelineError> {
-        let ops = model.ops().iter().map(OpInvocation::operator);
-        let results = self
-            .pipeline
-            .analyze_stream_supervised(ops, &self.policy)
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
+        let results = self.run_invocations(model)?;
         Ok(assemble_report(model, &results))
+    }
+
+    /// Every invocation of `model` through the runner's pipeline under
+    /// its policy, one worker per CPU, in model order.
+    fn run_invocations(
+        &self,
+        model: &ModelWorkload,
+    ) -> Result<Vec<Arc<PipelineResult>>, PipelineError> {
+        let ops: Vec<&dyn Operator> = model.ops().iter().map(OpInvocation::operator).collect();
+        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        self.pipeline.run_batch_supervised(&ops, workers, &self.policy).into_iter().collect()
     }
 
     /// [`analyze`](ModelRunner::analyze), but routed through a resident
@@ -345,12 +351,7 @@ impl ModelRunner {
         &self,
         model: &ModelWorkload,
     ) -> Result<RooflineAnalysis, PipelineError> {
-        let ops = model.ops().iter().map(OpInvocation::operator);
-        let results = self
-            .pipeline
-            .analyze_stream_supervised(ops, &self.policy)
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
+        let results = self.run_invocations(model)?;
         let mut aggregate = Profile::empty(model.name().to_owned());
         for (invocation, result) in model.ops().iter().zip(&results) {
             aggregate.accumulate_scaled(&result.profile, invocation.count());

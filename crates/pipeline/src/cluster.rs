@@ -1889,7 +1889,7 @@ fn serve_shard_job(resident: &mut Option<ResidentPipeline>, job: ShardJob) -> Sh
     let hits_before = resident.pipeline.cache_stats().hits;
     let disk_before = resident.pipeline.store_stats().map_or(0, |stats| stats.hits);
     let op = work.instantiate();
-    let outcome = resident.pipeline.run_supervised(op.as_ref(), &policy);
+    let outcome = resident.pipeline.run_supervised(op.as_ref(), &policy, None);
     let served_cached = resident.pipeline.cache_stats().hits > hits_before
         || resident.pipeline.store_stats().map_or(0, |stats| stats.hits) > disk_before;
     match outcome {

@@ -1,19 +1,21 @@
 //! The workspace's one FNV-1a implementation.
 //!
-//! Before this module, three copies of the same 64-bit FNV-1a fold lived
-//! in private corners — the journal's record digest, the sandbox frame
-//! digest, and the golden suite's trace fingerprinting — plus a fourth
-//! inline copy hashing the pipeline's (chip, thresholds) context. Four
-//! copies of a checksum is three opportunities for them to drift apart
-//! silently, and digest drift in a durability layer means every existing
-//! artifact on disk is suddenly "corrupt". This module is the single
-//! definition they all share; the [`ResultStore`](crate::ResultStore)
-//! record digest is built on it too.
+//! Before this module, several copies of the same 64-bit FNV-1a fold
+//! lived in private corners — the sandbox frame digest, the golden
+//! suite's trace fingerprinting, and an inline copy hashing the
+//! pipeline's (chip, thresholds) context. Copies of a checksum drift
+//! apart silently, and digest drift in a durability layer means every
+//! existing artifact on disk is suddenly "corrupt". This module is the
+//! single definition they all share; the
+//! [`ResultStore`](crate::ResultStore) record digest and
+//! [`result_digest`] are built on it too.
 //!
 //! The parameters are the standard 64-bit FNV-1a constants. They are part
-//! of the on-disk format of journals and result stores and the sandbox
-//! wire protocol — changing them is a format break and must come with a
-//! version bump of every consumer.
+//! of the on-disk format of result stores and the sandbox wire protocol —
+//! changing them is a format break and must come with a version bump of
+//! every consumer.
+
+use crate::PipelineResult;
 
 /// The FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -84,6 +86,15 @@ impl Fnv64 {
     pub fn finish(&self) -> u64 {
         self.state
     }
+}
+
+/// FNV-1a over the canonical JSON serialization of a result — a cheap
+/// whole-result identity, e.g. for checking that a served result matches
+/// a clean recomputation byte for byte.
+#[must_use]
+pub fn result_digest(result: &PipelineResult) -> u64 {
+    let json = serde_json::to_string(result).unwrap_or_default();
+    fnv1a(json.as_bytes())
 }
 
 #[cfg(test)]

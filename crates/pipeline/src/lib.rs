@@ -17,10 +17,10 @@
 //!   bit-identical [`PipelineResult`]. Hit/miss/eviction counters are
 //!   exposed via [`CacheStats`].
 //!
-//! * **A batch API.** [`AnalysisPipeline::run_batch`] fans independent
-//!   invocations across scoped worker threads (`std::thread::scope`, no
-//!   external dependencies) and returns results in input order,
-//!   regardless of worker count. The simulator is deterministic, so the
+//! * **A batch API.** [`AnalysisPipeline::run_batch_with_workers`] fans
+//!   independent invocations across scoped worker threads
+//!   (`std::thread::scope`, no external dependencies) and returns results
+//!   in input order, regardless of worker count. The simulator is deterministic, so the
 //!   parallel path is numerically identical to the serial one.
 //!
 //! Cloning a pipeline is cheap and **shares** the cache and the
@@ -51,7 +51,6 @@ pub mod digest;
 pub mod divergence;
 mod error;
 pub mod invariants;
-mod journal;
 mod sandbox;
 mod service;
 mod stats;
@@ -64,12 +63,10 @@ pub use cluster::{
     shard_worker_main, ClusterConfig, ClusterCounters, ClusterDrainReport, ClusterHealth,
     ClusterService, HashRing, ShardCounters, ShardHealth, CLUSTER_SHARD_ENV, DEFAULT_VIRTUAL_NODES,
 };
+pub use digest::result_digest;
 pub use divergence::DivergenceReport;
 pub use error::PipelineError;
 pub use invariants::{InvariantCheck, InvariantReport};
-pub use journal::{
-    result_digest, BatchJournal, JournalError, JournalRecord, JournalRecovery, JOURNAL_VERSION,
-};
 pub use sandbox::{
     run_worker_if_requested, worker_main, SandboxConfig, SandboxCounters, SandboxedExecutor,
     WorkSpec, WORKER_ENV,
@@ -516,27 +513,34 @@ impl AnalysisPipeline {
         }
     }
 
-    /// Disk-tier lookup for `key`: a digest-valid record that also
-    /// deserializes is promoted into the memory cache and returned.
-    /// Undecodable payloads (format drift behind a valid digest) are
-    /// discarded from the store and recomputed.
-    fn store_lookup(&self, key: u64) -> Option<Arc<PipelineResult>> {
-        let store = self.store.as_ref()?;
-        let payload = store.get(key)?;
-        let parsed = std::str::from_utf8(&payload)
-            .ok()
-            .and_then(|text| serde_json::from_str::<PipelineResult>(text).ok());
-        match parsed {
-            Some(result) if result.fingerprint == key => {
+    /// The one memory → disk lookup every entry point (in-process,
+    /// supervised, sandboxed) answers repeats from. A hit in either tier
+    /// counts as a cache hit; a digest-valid disk record that also
+    /// deserializes is promoted into the memory cache. Undecodable
+    /// payloads (format drift behind a valid digest) are discarded from
+    /// the store and recomputed.
+    pub(crate) fn lookup(&self, key: u64) -> Option<Arc<PipelineResult>> {
+        let cached = lock(&self.shared.cache).map.get(&key).cloned();
+        let found = match (cached, &self.store) {
+            (Some(found), _) => found,
+            (None, Some(store)) => {
+                let payload = store.get(key)?;
+                let parsed = std::str::from_utf8(&payload)
+                    .ok()
+                    .and_then(|text| serde_json::from_str::<PipelineResult>(text).ok())
+                    .filter(|result| result.fingerprint == key);
+                let Some(result) = parsed else {
+                    store.discard(key);
+                    return None;
+                };
                 let result = Arc::new(result);
                 self.insert(key, Arc::clone(&result));
-                Some(result)
+                result
             }
-            _ => {
-                store.discard(key);
-                None
-            }
-        }
+            (None, None) => return None,
+        };
+        lock(&self.shared.stats).hits += 1;
+        Some(found)
     }
 
     /// Write-through for a freshly computed result. Fallback results are
@@ -581,15 +585,7 @@ impl AnalysisPipeline {
     /// Propagates kernel-construction and simulation errors.
     pub fn run(&self, op: &dyn Operator) -> Result<Arc<PipelineResult>, SimError> {
         let key = self.cache_key(op);
-        if let Some(found) = lock(&self.shared.cache).map.get(&key) {
-            let result = Arc::clone(found);
-            lock(&self.shared.stats).hits += 1;
-            return Ok(result);
-        }
-        // Second tier: the durable store. A disk hit is a cache hit to
-        // the caller (and is promoted into memory by the lookup).
-        if let Some(found) = self.store_lookup(key) {
-            lock(&self.shared.stats).hits += 1;
+        if let Some(found) = self.lookup(key) {
             return Ok(found);
         }
         // Compute outside the cache lock so batch workers make progress
@@ -628,31 +624,14 @@ impl AnalysisPipeline {
     /// closed-form analytical estimate ([`Fidelity::AnalyticalFallback`])
     /// when every attempt fails.
     ///
-    /// A passthrough policy ([`RunPolicy::default`]) behaves exactly
-    /// like [`run_isolated`](AnalysisPipeline::run_isolated). Fallback
+    /// A passthrough policy ([`RunPolicy::default`]) without a `cancel`
+    /// token behaves exactly like
+    /// [`run_isolated`](AnalysisPipeline::run_isolated). Fallback
     /// results are **not** cached — a later run under a healthier policy
     /// gets a fresh chance to simulate.
     ///
-    /// # Errors
-    ///
-    /// Everything [`run_isolated`](AnalysisPipeline::run_isolated)
-    /// reports (the *last* attempt's error once retries are exhausted
-    /// and fallback is disabled or impossible), plus
-    /// [`PipelineError::CircuitOpen`] when the breaker short-circuits
-    /// the item.
-    pub fn run_supervised(
-        &self,
-        op: &dyn Operator,
-        policy: &RunPolicy,
-    ) -> Result<Arc<PipelineResult>, PipelineError> {
-        self.run_supervised_inner(op, policy, None)
-    }
-
-    /// [`run_supervised`](AnalysisPipeline::run_supervised) with an
-    /// external cancellation token threaded into every attempt.
-    ///
-    /// This is the service's preemption hook: each attempt runs under a
-    /// [child](CancelToken::child_with_timeout) of `cancel` (so the
+    /// `cancel` is the service's preemption hook: each attempt runs
+    /// under a [child](CancelToken::child_with_timeout) of it (so the
     /// policy's per-attempt deadline still applies), and a signalled
     /// token also stops the retry loop — no backoff sleep, no further
     /// attempts, no analytical fallback masking the preemption. The
@@ -661,18 +640,12 @@ impl AnalysisPipeline {
     ///
     /// # Errors
     ///
-    /// Everything [`run_supervised`](AnalysisPipeline::run_supervised)
-    /// reports, plus the cancellation case above.
-    pub fn run_supervised_with_cancel(
-        &self,
-        op: &dyn Operator,
-        policy: &RunPolicy,
-        cancel: &CancelToken,
-    ) -> Result<Arc<PipelineResult>, PipelineError> {
-        self.run_supervised_inner(op, policy, Some(cancel))
-    }
-
-    fn run_supervised_inner(
+    /// Everything [`run_isolated`](AnalysisPipeline::run_isolated)
+    /// reports (the *last* attempt's error once retries are exhausted
+    /// and fallback is disabled or impossible),
+    /// [`PipelineError::CircuitOpen`] when the breaker short-circuits
+    /// the item, and the cancellation case above.
+    pub fn run_supervised(
         &self,
         op: &dyn Operator,
         policy: &RunPolicy,
@@ -682,13 +655,7 @@ impl AnalysisPipeline {
             return self.run_isolated(op);
         }
         let key = self.cache_key(op);
-        if let Some(found) = lock(&self.shared.cache).map.get(&key) {
-            let result = Arc::clone(found);
-            lock(&self.shared.stats).hits += 1;
-            return Ok(result);
-        }
-        if let Some(found) = self.store_lookup(key) {
-            lock(&self.shared.stats).hits += 1;
+        if let Some(found) = self.lookup(key) {
             return Ok(found);
         }
         self.supervise_loop(key, policy, cancel, Some(op), &mut || {
@@ -891,21 +858,13 @@ impl AnalysisPipeline {
         }))
     }
 
-    /// Runs independent operators concurrently on scoped worker threads,
-    /// one per available CPU (capped by the batch size). Results are
+    /// Runs independent operators concurrently on `workers` scoped worker
+    /// threads, each item through
+    /// [`run_isolated`](AnalysisPipeline::run_isolated). Results are
     /// returned in **input order** regardless of completion order, one
     /// `Result` per input: a failing or panicking operator costs its own
-    /// slot, never its siblings'.
-    pub fn run_batch(
-        &self,
-        ops: &[&dyn Operator],
-    ) -> Vec<Result<Arc<PipelineResult>, PipelineError>> {
-        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        self.run_batch_with_workers(ops, workers)
-    }
-
-    /// [`run_batch`](AnalysisPipeline::run_batch) with an explicit worker
-    /// count.
+    /// slot, never its siblings'. Pass
+    /// [`std::thread::available_parallelism`] for one worker per CPU.
     ///
     /// The worker count is **clamped to `1..=ops.len()`**: `0` (or any
     /// degenerate request) runs serially on the calling thread, a count
@@ -967,97 +926,26 @@ impl AnalysisPipeline {
             .collect()
     }
 
-    /// Analyzes a stream of operator invocations (e.g. one model
-    /// iteration): a batched [`run`](AnalysisPipeline::run) over the
-    /// stream, input-ordered, one `Result` per invocation.
-    pub fn analyze_stream<'a, I>(&self, ops: I) -> Vec<Result<Arc<PipelineResult>, PipelineError>>
-    where
-        I: IntoIterator<Item = &'a dyn Operator>,
-    {
-        let ops: Vec<&dyn Operator> = ops.into_iter().collect();
-        self.run_batch(&ops)
-    }
-
-    /// [`run_batch`](AnalysisPipeline::run_batch) with every item going
-    /// through [`run_supervised`](AnalysisPipeline::run_supervised)
-    /// under `policy`.
+    /// [`run_batch_with_workers`](AnalysisPipeline::run_batch_with_workers)
+    /// with every item going through
+    /// [`run_supervised`](AnalysisPipeline::run_supervised) under
+    /// `policy`.
+    ///
+    /// With a store attached ([`with_store`](AnalysisPipeline::with_store))
+    /// this is also the crash-safe resumable batch: every simulated
+    /// result is persisted — fsync'd under the default [`FsyncPolicy`] —
+    /// as it completes, so a process killed mid-batch loses at most the
+    /// items in flight, and re-running the same batch on a pipeline that
+    /// reopens the store serves the finished items from disk and computes
+    /// only the remainder. Analytical-fallback results are never
+    /// persisted, so they re-run on resume.
     pub fn run_batch_supervised(
         &self,
         ops: &[&dyn Operator],
-        policy: &RunPolicy,
-    ) -> Vec<Result<Arc<PipelineResult>, PipelineError>> {
-        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        self.run_batch_supervised_with_workers(ops, workers, policy)
-    }
-
-    /// [`run_batch_supervised`](AnalysisPipeline::run_batch_supervised)
-    /// with an explicit worker count (clamped as in
-    /// [`run_batch_with_workers`](AnalysisPipeline::run_batch_with_workers)).
-    pub fn run_batch_supervised_with_workers(
-        &self,
-        ops: &[&dyn Operator],
         workers: usize,
         policy: &RunPolicy,
     ) -> Vec<Result<Arc<PipelineResult>, PipelineError>> {
-        self.batch_with_workers(ops, workers, |op| self.run_supervised(op, policy))
-    }
-
-    /// [`analyze_stream`](AnalysisPipeline::analyze_stream) with every
-    /// invocation supervised under `policy`.
-    pub fn analyze_stream_supervised<'a, I>(
-        &self,
-        ops: I,
-        policy: &RunPolicy,
-    ) -> Vec<Result<Arc<PipelineResult>, PipelineError>>
-    where
-        I: IntoIterator<Item = &'a dyn Operator>,
-    {
-        let ops: Vec<&dyn Operator> = ops.into_iter().collect();
-        self.run_batch_supervised(&ops, policy)
-    }
-
-    /// A crash-safe resumable batch: items whose fingerprint is already
-    /// in `journal` replay the journaled result
-    /// (counted as [`SupervisorStats::journal_skips`]); fresh items run
-    /// through [`run_supervised`](AnalysisPipeline::run_supervised) and
-    /// are appended — fsync'd — before the batch moves on. Killing the
-    /// process mid-batch therefore loses at most the items that were in
-    /// flight; reopening the same journal and re-running the same batch
-    /// completes only the remainder.
-    pub fn run_batch_resumable(
-        &self,
-        ops: &[&dyn Operator],
-        policy: &RunPolicy,
-        journal: &BatchJournal,
-    ) -> Vec<Result<Arc<PipelineResult>, PipelineError>> {
-        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        self.run_batch_resumable_with_workers(ops, workers, policy, journal)
-    }
-
-    /// [`run_batch_resumable`](AnalysisPipeline::run_batch_resumable)
-    /// with an explicit worker count (clamped as in
-    /// [`run_batch_with_workers`](AnalysisPipeline::run_batch_with_workers)).
-    pub fn run_batch_resumable_with_workers(
-        &self,
-        ops: &[&dyn Operator],
-        workers: usize,
-        policy: &RunPolicy,
-        journal: &BatchJournal,
-    ) -> Vec<Result<Arc<PipelineResult>, PipelineError>> {
-        self.batch_with_workers(ops, workers, |op| {
-            let key = self.cache_key(op);
-            if let Some(record) = journal.get(key) {
-                lock(&self.shared.supervisor).journal_skips += 1;
-                return Ok(Arc::new(record.result));
-            }
-            let result = self.run_supervised(op, policy)?;
-            if let Err(err) = journal.append(key, &result) {
-                // The result is still correct; only resumability of this
-                // one item is lost. Warn instead of failing the slot.
-                eprintln!("[pipeline] warning: journal append failed for {:#018x}: {err}", key);
-            }
-            Ok(result)
-        })
+        self.batch_with_workers(ops, workers, |op| self.run_supervised(op, policy, None))
     }
 
     /// Runs only the analyze stage on an externally assembled profile
@@ -1709,7 +1597,7 @@ mod tests {
         let policy = RunPolicy::default().with_retries(3).with_fallback(true);
         let token = CancelToken::new();
         token.cancel();
-        match pipeline.run_supervised_with_cancel(&AddRelu::new(1 << 12), &policy, &token) {
+        match pipeline.run_supervised(&AddRelu::new(1 << 12), &policy, Some(&token)) {
             Err(PipelineError::Runtime(SimError::Cancelled { .. })) => {}
             other => panic!("expected Cancelled, got {other:?}"),
         }
@@ -1719,7 +1607,7 @@ mod tests {
         assert!(!pipeline.breaker_is_open(), "preemption is not a backend-health signal");
         // An untriggered token leaves the supervised path fully intact.
         let ok = pipeline
-            .run_supervised_with_cancel(&AddRelu::new(1 << 12), &policy, &CancelToken::new())
+            .run_supervised(&AddRelu::new(1 << 12), &policy, Some(&CancelToken::new()))
             .unwrap();
         assert_eq!(ok.fidelity, Fidelity::Simulated);
     }

@@ -22,8 +22,8 @@
 //!
 //! Work crosses the process boundary as a [`WorkSpec`] — a serializable
 //! description, not a `Box<dyn Operator>` — inside a length-prefixed,
-//! digest-checked, versioned frame ([`WIRE_VERSION`]; journal records
-//! share the same versioning convention). The child rebuilds the
+//! digest-checked, versioned frame ([`WIRE_VERSION`]; result-store
+//! segments share the same versioning convention). The child rebuilds the
 //! operator, runs the ordinary in-process pipeline, and ships the
 //! [`PipelineResult`] back the same way. The vendored JSON codec
 //! round-trips `f64` exactly, so a sandboxed result is **bit-identical**
@@ -476,7 +476,8 @@ impl SandboxedExecutor {
     }
 
     /// Runs `work` in a sandboxed child under the full supervision
-    /// machinery: the result cache is consulted first, kills and crashes
+    /// machinery: the memory and disk cache tiers are consulted first
+    /// (the same lookup the in-process paths use), kills and crashes
     /// are retried / fed to the breaker / degraded per `policy` exactly
     /// like in-process transient failures, and a signalled `cancel`
     /// token kills the child and reports preemption without touching the
@@ -494,10 +495,8 @@ impl SandboxedExecutor {
     ) -> Result<Arc<PipelineResult>, PipelineError> {
         let probe = work.instantiate();
         let key = self.pipeline.cache_key(probe.as_ref());
-        if let Some(found) = lock(&self.pipeline.shared.cache).map.get(&key) {
-            let result = Arc::clone(found);
-            lock(&self.pipeline.shared.stats).hits += 1;
-            return Ok(result);
+        if let Some(found) = self.pipeline.lookup(key) {
+            return Ok(found);
         }
         let fallback_op: Option<&dyn Operator> =
             if work.fallback_eligible() { Some(probe.as_ref()) } else { None };
@@ -820,7 +819,7 @@ fn run_job(job: JobFrame) -> WireOutcome {
         });
     }
     let op = job.work.instantiate();
-    match pipeline.run_supervised(op.as_ref(), &policy) {
+    match pipeline.run_supervised(op.as_ref(), &policy, None) {
         Ok(result) => WireOutcome::Ok { result: Box::new((*result).clone()) },
         Err(err) => WireOutcome::Err {
             failure: WireFailure { message: err.to_string(), transient: err.is_transient() },

@@ -855,12 +855,12 @@ fn execute_job(
             }
             (Work::Spec(spec), Isolation::InProcess) => {
                 let op = spec.instantiate();
-                shared.pipeline.run_supervised_with_cancel(op.as_ref(), policy, &shared.drain_token)
+                shared.pipeline.run_supervised(op.as_ref(), policy, Some(&shared.drain_token))
             }
             // A trait object cannot cross the process boundary: it runs
             // in-process regardless of the class's tier.
             (Work::Dyn(op), _) => {
-                shared.pipeline.run_supervised_with_cancel(op.as_ref(), policy, &shared.drain_token)
+                shared.pipeline.run_supervised(op.as_ref(), policy, Some(&shared.drain_token))
             }
         }
     };

@@ -1,13 +1,12 @@
 //! The durable result store: a crash-consistent on-disk cache tier.
 //!
-//! The in-memory `ResultCache` dies with the process; the
-//! [`BatchJournal`](crate::BatchJournal) covers one batch at a time. This
-//! module is the layer underneath both: an **append-only segment log** of
-//! digest-checked records keyed by the same fingerprints the memory cache
-//! uses, built to survive what the journal and sandbox already survive —
-//! torn writes, bit rot, version skew, `kill -9` — and to degrade
-//! gracefully under what they never see (ENOSPC mid-record, a device
-//! refusing fsync).
+//! The in-memory `ResultCache` dies with the process. This module is the
+//! layer underneath it: an **append-only segment log** of digest-checked
+//! records keyed by the same fingerprints the memory cache uses, built to
+//! survive torn writes, bit rot, version skew and `kill -9`, and to
+//! degrade gracefully under ENOSPC mid-record or a device refusing fsync.
+//! It is also what makes a batch resumable: a pipeline that reopens the
+//! store after a crash serves every finished item from disk.
 //!
 //! # On-disk format
 //!
@@ -29,7 +28,7 @@
 //! fingerprint→offset index. The scan:
 //!
 //! * **truncates torn tails** — a record cut mid-write (the crash case)
-//!   is chopped off, like the journal's torn-line rule;
+//!   is chopped off, so the next append starts on a record boundary;
 //! * **skips digest-invalid records** — counted in
 //!   [`StoreStats::corrupt_dropped`], never indexed, never served; when
 //!   the *length framing itself* is untrustworthy (length beyond the
@@ -97,8 +96,8 @@ const TOMBSTONE_PAYLOAD: &[u8] = b"\x00ASTR-TOMBSTONE\x00";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// `sync_data` after every `n` appended records (minimum 1). The
-    /// default, `EveryN(1)`, makes every completed `put` durable — the
-    /// journal's discipline.
+    /// default, `EveryN(1)`, makes every completed `put` durable before
+    /// it returns.
     EveryN(u32),
     /// Only sync on explicit [`flush`](ResultStore::flush) (and drain).
     /// Faster, but a crash can lose everything since the last flush.

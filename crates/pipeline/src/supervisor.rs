@@ -214,8 +214,6 @@ pub struct SupervisorStats {
     pub breaker_trips: u64,
     /// Items short-circuited because the breaker was already open.
     pub breaker_short_circuits: u64,
-    /// Batch items skipped because the journal already had their result.
-    pub journal_skips: u64,
 }
 
 impl SupervisorStats {
@@ -231,7 +229,6 @@ impl SupervisorStats {
             + self.hard_failures
             + self.breaker_trips
             + self.breaker_short_circuits
-            + self.journal_skips
             > 0
     }
 }
@@ -242,7 +239,7 @@ impl std::fmt::Display for SupervisorStats {
             f,
             "{} supervised runs, {} retries, {} deadline preemptions, {} budget trips, \
              {} analytical fallbacks, {} hard failures, {} breaker trips, \
-             {} breaker short-circuits, {} journal skips",
+             {} breaker short-circuits",
             self.supervised_runs,
             self.retries,
             self.deadline_preemptions,
@@ -251,7 +248,6 @@ impl std::fmt::Display for SupervisorStats {
             self.hard_failures,
             self.breaker_trips,
             self.breaker_short_circuits,
-            self.journal_skips,
         )
     }
 }

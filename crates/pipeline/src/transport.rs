@@ -36,9 +36,8 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
 
-/// Wire-format version stamped into every frame (and, by shared
-/// convention, into journal records). Readers reject frames from any
-/// other version instead of guessing.
+/// Wire-format version stamped into every frame. Readers reject frames
+/// from any other version instead of guessing.
 pub const WIRE_VERSION: u16 = 1;
 
 /// Frame preamble: identifies a byte stream as sandbox frames at all.

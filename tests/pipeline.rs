@@ -119,8 +119,9 @@ fn cache_stats_count_hits_and_misses_on_a_stream_with_repeats() {
     let c = Softmax::new(1 << 12);
     // A B A A C B → misses for A, B, C; hits for the three repeats.
     let stream: Vec<&dyn Operator> = vec![&a, &b, &a, &a, &c, &b];
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let results: Vec<_> =
-        pipeline.analyze_stream(stream.iter().copied()).into_iter().map(|r| r.unwrap()).collect();
+        pipeline.run_batch_with_workers(&stream, workers).into_iter().map(|r| r.unwrap()).collect();
     assert_eq!(results.len(), 6);
     let stats = pipeline.cache_stats();
     assert_eq!(stats.misses, 3, "{stats:?}");

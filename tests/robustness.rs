@@ -1,16 +1,13 @@
 //! Regression tests for the hardened execution path: watchdog budgets,
 //! deadlock forensics, per-item panic isolation, and the supervision
 //! layer — deadlines, retries, the circuit breaker, analytical
-//! degradation, and crash-safe resumable batch journals.
+//! degradation, and crash-safe batches resumed from the result store.
 
 use ascend::arch::{ChipSpec, Component};
-use ascend::faults::{corrupt_journal, JournalFault, PanicSwitch};
+use ascend::faults::PanicSwitch;
 use ascend::isa::{IsaError, Kernel, KernelBuilder};
 use ascend::ops::{AddRelu, Operator, OptFlags};
-use ascend::pipeline::{
-    AnalysisPipeline, BatchJournal, Fidelity, JournalError, PipelineError, RunPolicy,
-    JOURNAL_VERSION,
-};
+use ascend::pipeline::{AnalysisPipeline, Fidelity, PipelineError, RunPolicy};
 use ascend::sim::{CancelToken, SimBudget, SimError, Simulator};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -153,7 +150,7 @@ fn tempdir(tag: &str) -> PathBuf {
 /// Wraps an operator with a [`PanicSwitch`] ticked on every `build` —
 /// the deterministic stand-in for a process killed mid-batch. The
 /// descriptor forwards to the inner operator, so the crashed run and
-/// the resumed run (using plain operators) share journal fingerprints,
+/// the resumed run (using plain operators) share store fingerprints,
 /// exactly as two invocations of the same binary would.
 #[derive(Debug)]
 struct CrashingOp {
@@ -184,12 +181,12 @@ impl Operator for CrashingOp {
     }
 }
 
-/// ISSUE acceptance (a): a 64-item batch killed mid-run resumes via the
-/// journal, re-running only the unfinished items.
+/// A 64-item batch killed mid-run resumes from the result store it
+/// wrote through, re-running only the unfinished items.
 #[test]
-fn killed_batch_resumes_from_the_journal_rerunning_only_the_remainder() {
+fn killed_batch_resumes_from_the_store_rerunning_only_the_remainder() {
     let dir = tempdir("resume");
-    let journal_path = dir.join("batch.journal.jsonl");
+    let store_path = dir.join("batch.astr");
     let sizes: Vec<u64> = (0..64).map(|i| 1024 + 64 * i).collect();
 
     // First run: panic-at-stage injection "kills" the batch after 24
@@ -203,42 +200,38 @@ fn killed_batch_resumes_from_the_journal_rerunning_only_the_remainder() {
         })
         .collect();
     let refs: Vec<&dyn Operator> = crashing.iter().map(AsRef::as_ref).collect();
-    let journal = BatchJournal::open(&journal_path).unwrap();
-    let pipeline = AnalysisPipeline::new(ChipSpec::training());
-    let results =
-        pipeline.run_batch_resumable_with_workers(&refs, 1, &RunPolicy::default(), &journal);
+    let pipeline = AnalysisPipeline::new(ChipSpec::training()).with_store(&store_path).unwrap();
+    let results = pipeline.run_batch_supervised(&refs, 1, &RunPolicy::default());
     assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 24);
     assert!(
         matches!(results[24], Err(PipelineError::Panicked { .. })),
         "item 25 is the one that died: {:?}",
         results[24]
     );
-    assert_eq!(journal.len(), 24, "exactly the completed items are journaled");
-    drop((journal, pipeline));
+    assert_eq!(pipeline.store_stats().unwrap().appends, 24, "exactly the completed items persist");
+    drop(pipeline);
 
     // Resumed run: fresh process state — a new pipeline, plain
-    // operators, the journal reopened from disk.
+    // operators, the store reopened from disk.
     let plain: Vec<Box<dyn Operator>> =
         sizes.iter().map(|&size| Box::new(AddRelu::new(size)) as Box<dyn Operator>).collect();
     let refs: Vec<&dyn Operator> = plain.iter().map(AsRef::as_ref).collect();
-    let journal = BatchJournal::open(&journal_path).unwrap();
-    assert_eq!(journal.recovery().recovered, 24);
-    assert_eq!(journal.recovery().dropped, 0);
-    let resumed = AnalysisPipeline::new(ChipSpec::training());
-    let results =
-        resumed.run_batch_resumable_with_workers(&refs, 1, &RunPolicy::default(), &journal);
+    let resumed = AnalysisPipeline::new(ChipSpec::training()).with_store(&store_path).unwrap();
+    assert_eq!(resumed.store_stats().unwrap().recovered, 24);
+    assert_eq!(resumed.store_stats().unwrap().corrupt_dropped, 0);
+    let results = resumed.run_batch_supervised(&refs, 1, &RunPolicy::default());
     assert_eq!(results.len(), 64);
     assert!(results.iter().all(Result::is_ok), "the resumed batch completes whole");
-    assert_eq!(resumed.supervisor_stats().journal_skips, 24, "journaled items replay");
+    assert_eq!(resumed.store_stats().unwrap().hits, 24, "persisted items are served from disk");
     assert_eq!(resumed.timings().runs, 40, "only the unfinished items re-run");
-    assert_eq!(journal.len(), 64);
+    assert_eq!(resumed.store_stats().unwrap().appends, 40);
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// ISSUE acceptance (b): an item that keeps blowing its per-attempt
-/// budget completes the batch as `AnalyticalFallback` instead of
-/// failing it — and the degraded result is not cached, so a healthier
-/// policy gets a fresh chance to simulate.
+/// An item that keeps blowing its per-attempt budget completes the
+/// batch as `AnalyticalFallback` instead of failing it — and the
+/// degraded result is not cached, so a healthier policy gets a fresh
+/// chance to simulate.
 #[test]
 fn budget_blown_item_completes_the_batch_as_analytical_fallback() {
     let pipeline = AnalysisPipeline::new(ChipSpec::training());
@@ -252,7 +245,7 @@ fn budget_blown_item_completes_the_batch_as_analytical_fallback() {
         .with_budget(SimBudget { max_events: u64::MAX, max_cycles: 10_000.0 })
         .with_retries(1)
         .with_fallback(true);
-    let results = pipeline.run_batch_supervised_with_workers(&refs, 1, &policy);
+    let results = pipeline.run_batch_supervised(&refs, 1, &policy);
     let fidelities: Vec<Fidelity> = results
         .iter()
         .map(|r| r.as_ref().expect("fallback keeps the batch whole").fidelity)
@@ -269,7 +262,7 @@ fn budget_blown_item_completes_the_batch_as_analytical_fallback() {
 
     // Degraded results are not cached: under a permissive policy the
     // same operator simulates for real.
-    let healthy = pipeline.run_supervised(ops[1].as_ref(), &RunPolicy::default()).unwrap();
+    let healthy = pipeline.run_supervised(ops[1].as_ref(), &RunPolicy::default(), None).unwrap();
     assert_eq!(healthy.fidelity, Fidelity::Simulated);
 }
 
@@ -278,71 +271,11 @@ fn lapsed_deadline_preempts_the_item_and_degrades_it() {
     let pipeline = AnalysisPipeline::new(ChipSpec::training());
     let policy =
         RunPolicy::default().with_deadline(Duration::ZERO).with_retries(1).with_fallback(true);
-    let result = pipeline.run_supervised(&AddRelu::new(1 << 14), &policy).unwrap();
+    let result = pipeline.run_supervised(&AddRelu::new(1 << 14), &policy, None).unwrap();
     assert_eq!(result.fidelity, Fidelity::AnalyticalFallback);
     let stats = pipeline.supervisor_stats();
     assert!(stats.deadline_preemptions >= 1, "{stats:?}");
     assert_eq!(stats.fallbacks, 1);
-}
-
-#[test]
-fn torn_journal_tail_is_dropped_and_only_that_item_re_runs() {
-    let dir = tempdir("torn");
-    let journal_path = dir.join("batch.journal.jsonl");
-    let ops: Vec<Box<dyn Operator>> = vec![
-        Box::new(AddRelu::new(1 << 10)),
-        Box::new(AddRelu::new(1 << 11)),
-        Box::new(AddRelu::new(1 << 12)),
-    ];
-    let refs: Vec<&dyn Operator> = ops.iter().map(AsRef::as_ref).collect();
-    let journal = BatchJournal::open(&journal_path).unwrap();
-    let pipeline = AnalysisPipeline::new(ChipSpec::training());
-    let results =
-        pipeline.run_batch_resumable_with_workers(&refs, 1, &RunPolicy::default(), &journal);
-    assert!(results.iter().all(Result::is_ok));
-    drop((journal, pipeline));
-
-    // Tear the tail of the last record, as a mid-write kill would.
-    corrupt_journal(&journal_path, JournalFault::TruncateTailBytes(7)).unwrap();
-
-    let journal = BatchJournal::open(&journal_path).unwrap();
-    assert_eq!(journal.recovery().recovered, 2);
-    assert_eq!(journal.recovery().dropped, 1);
-    let resumed = AnalysisPipeline::new(ChipSpec::training());
-    let results =
-        resumed.run_batch_resumable_with_workers(&refs, 1, &RunPolicy::default(), &journal);
-    assert!(results.iter().all(Result::is_ok));
-    assert_eq!(resumed.supervisor_stats().journal_skips, 2);
-    assert_eq!(resumed.timings().runs, 1, "only the torn item re-runs");
-    assert_eq!(journal.len(), 3, "the re-run is journaled again");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn duplicated_journal_records_recover_with_last_wins_semantics() {
-    let dir = tempdir("duplicate");
-    let journal_path = dir.join("batch.journal.jsonl");
-    let ops: Vec<Box<dyn Operator>> =
-        vec![Box::new(AddRelu::new(1 << 10)), Box::new(AddRelu::new(1 << 11))];
-    let refs: Vec<&dyn Operator> = ops.iter().map(AsRef::as_ref).collect();
-    let journal = BatchJournal::open(&journal_path).unwrap();
-    let pipeline = AnalysisPipeline::new(ChipSpec::training());
-    pipeline.run_batch_resumable_with_workers(&refs, 1, &RunPolicy::default(), &journal);
-    drop((journal, pipeline));
-
-    // The duplicate an append-retry-after-crash produces.
-    corrupt_journal(&journal_path, JournalFault::DuplicateLastRecord).unwrap();
-
-    let journal = BatchJournal::open(&journal_path).unwrap();
-    assert_eq!(journal.recovery().recovered, 2, "duplicates dedup to the last record");
-    assert_eq!(journal.recovery().dropped, 0);
-    let resumed = AnalysisPipeline::new(ChipSpec::training());
-    let results =
-        resumed.run_batch_resumable_with_workers(&refs, 1, &RunPolicy::default(), &journal);
-    assert!(results.iter().all(Result::is_ok));
-    assert_eq!(resumed.supervisor_stats().journal_skips, 2, "nothing re-runs");
-    assert_eq!(resumed.timings().runs, 0);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// An operator that always panics, with a distinct fingerprint per size.
@@ -374,14 +307,14 @@ fn consecutive_hard_failures_open_the_breaker_until_reset() {
 
     // Two consecutive items whose every attempt fails trip the breaker.
     for size in [1, 2] {
-        let err = pipeline.run_supervised(&ExplodingSized(size), &policy).unwrap_err();
+        let err = pipeline.run_supervised(&ExplodingSized(size), &policy, None).unwrap_err();
         assert!(matches!(err, PipelineError::Panicked { .. }), "{err}");
     }
     assert!(pipeline.breaker_is_open());
     assert_eq!(pipeline.supervisor_stats().breaker_trips, 1);
 
     // A healthy item is now short-circuited without running.
-    let err = pipeline.run_supervised(&AddRelu::new(1 << 12), &policy).unwrap_err();
+    let err = pipeline.run_supervised(&AddRelu::new(1 << 12), &policy, None).unwrap_err();
     assert!(
         matches!(err, PipelineError::CircuitOpen { consecutive_failures: 2 }),
         "expected CircuitOpen, got {err}"
@@ -392,7 +325,7 @@ fn consecutive_hard_failures_open_the_breaker_until_reset() {
     // After an operator reset, the same item runs for real again.
     pipeline.reset_breaker();
     assert!(!pipeline.breaker_is_open());
-    assert!(pipeline.run_supervised(&AddRelu::new(1 << 12), &policy).is_ok());
+    assert!(pipeline.run_supervised(&AddRelu::new(1 << 12), &policy, None).is_ok());
 }
 
 #[test]
@@ -404,60 +337,6 @@ fn backoff_schedule_is_reproducible_across_policy_instances() {
     for attempt in 1..=4 {
         assert_eq!(a.backoff_delay(0x00A5_CE4D, attempt), b.backoff_delay(0x00A5_CE4D, attempt));
     }
-}
-
-#[test]
-fn unversioned_v0_journals_still_read_and_replay() {
-    let dir = tempdir("v0-journal");
-    let journal_path = dir.join("batch.journal.jsonl");
-    let ops: Vec<Box<dyn Operator>> =
-        vec![Box::new(AddRelu::new(1 << 10)), Box::new(AddRelu::new(1 << 11))];
-    let refs: Vec<&dyn Operator> = ops.iter().map(AsRef::as_ref).collect();
-    let journal = BatchJournal::open(&journal_path).unwrap();
-    let pipeline = AnalysisPipeline::new(ChipSpec::training());
-    pipeline.run_batch_resumable_with_workers(&refs, 1, &RunPolicy::default(), &journal);
-    drop((journal, pipeline));
-
-    // Rewrite the file as the pre-versioning format: no `version` field.
-    let contents = std::fs::read_to_string(&journal_path).unwrap();
-    assert!(contents.contains("\"version\":1"), "current builds stamp their version");
-    std::fs::write(&journal_path, contents.replace("\"version\":1,", "")).unwrap();
-
-    let journal = BatchJournal::open(&journal_path).unwrap();
-    assert_eq!(journal.recovery().recovered, 2, "v0 records read fine");
-    assert_eq!(journal.recovery().dropped, 0);
-    let resumed = AnalysisPipeline::new(ChipSpec::training());
-    let results =
-        resumed.run_batch_resumable_with_workers(&refs, 1, &RunPolicy::default(), &journal);
-    assert!(results.iter().all(Result::is_ok));
-    assert_eq!(resumed.supervisor_stats().journal_skips, 2, "v0 records replay");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn journals_from_a_newer_build_are_refused_not_rerun() {
-    let dir = tempdir("future-journal");
-    let journal_path = dir.join("batch.journal.jsonl");
-    let ops: Vec<Box<dyn Operator>> = vec![Box::new(AddRelu::new(1 << 10))];
-    let refs: Vec<&dyn Operator> = ops.iter().map(AsRef::as_ref).collect();
-    let journal = BatchJournal::open(&journal_path).unwrap();
-    let pipeline = AnalysisPipeline::new(ChipSpec::training());
-    pipeline.run_batch_resumable_with_workers(&refs, 1, &RunPolicy::default(), &journal);
-    drop((journal, pipeline));
-
-    // Stamp the record as if a future build wrote it. Silently dropping
-    // it would re-run the item and append an old-format record into a
-    // newer-format journal — the open must refuse instead.
-    let contents = std::fs::read_to_string(&journal_path).unwrap();
-    std::fs::write(&journal_path, contents.replace("\"version\":1", "\"version\":9")).unwrap();
-
-    match BatchJournal::open(&journal_path) {
-        Err(JournalError::UnsupportedVersion { found: 9, supported }) => {
-            assert_eq!(supported, JOURNAL_VERSION);
-        }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// An operator whose `build` takes a while — long enough that an
@@ -512,7 +391,7 @@ fn cancellation_latency_is_bounded_by_one_stage() {
         })
     };
     let started = std::time::Instant::now();
-    let result = pipeline.run_supervised_with_cancel(&op, &policy, &token);
+    let result = pipeline.run_supervised(&op, &policy, Some(&token));
     let latency = started.elapsed();
     canceller.join().unwrap();
 
@@ -530,73 +409,4 @@ fn cancellation_latency_is_bounded_by_one_stage() {
     let stats = pipeline.supervisor_stats();
     assert_eq!(stats.retries, 0, "a cancelled attempt is not retried");
     assert_eq!(stats.fallbacks, 0, "preemption does not degrade to a fallback");
-}
-
-/// Regression for the fault-helper retarget: `corrupt_journal` is now a
-/// facade over the shared `corrupt_file` disk injector, and journal
-/// recovery must behave identically whether a crash is simulated
-/// at-rest (truncating a closed file) or live (an append torn mid-write
-/// by a `FaultyFile` running out of "disk"). Three framings of the same
-/// torn-tail crash, one recovery outcome.
-#[test]
-fn journal_recovery_is_identical_under_the_shared_disk_injector() {
-    use ascend::faults::{corrupt_file, DiskFault, FaultyFile};
-    use std::io::Write as _;
-
-    let dir = tempdir("shared-injector");
-    let pristine = dir.join("pristine.journal.jsonl");
-    let ops: Vec<Box<dyn Operator>> =
-        vec![Box::new(AddRelu::new(1 << 10)), Box::new(AddRelu::new(1 << 11))];
-    let refs: Vec<&dyn Operator> = ops.iter().map(AsRef::as_ref).collect();
-    let journal = BatchJournal::open(&pristine).unwrap();
-    let pipeline = AnalysisPipeline::new(ChipSpec::training());
-    let results =
-        pipeline.run_batch_resumable_with_workers(&refs, 1, &RunPolicy::default(), &journal);
-    assert!(results.iter().all(Result::is_ok));
-    drop(journal);
-    let bytes = std::fs::read(&pristine).unwrap();
-
-    // Framing 1: the journal-flavoured facade.
-    let via_facade = dir.join("facade.journal.jsonl");
-    std::fs::write(&via_facade, &bytes).unwrap();
-    corrupt_journal(&via_facade, JournalFault::TruncateTailBytes(7)).unwrap();
-
-    // Framing 2: the shared at-rest injector, called directly.
-    let via_disk = dir.join("disk.journal.jsonl");
-    std::fs::write(&via_disk, &bytes).unwrap();
-    corrupt_file(&via_disk, DiskFault::TruncateTailBytes(7)).unwrap();
-
-    // Framing 3: a live torn write — the journal replayed through a
-    // FaultyFile whose "disk" fills 7 bytes short of the full contents.
-    let via_live = dir.join("live.journal.jsonl");
-    let mut faulty =
-        FaultyFile::create(&via_live).unwrap().fail_writes_after(bytes.len() as u64 - 7);
-    assert!(faulty.write_all(&bytes).is_err(), "the last record must tear");
-    drop(faulty);
-
-    assert_eq!(
-        std::fs::read(&via_facade).unwrap(),
-        std::fs::read(&via_disk).unwrap(),
-        "facade and shared injector must corrupt byte-identically"
-    );
-    assert_eq!(
-        std::fs::read(&via_disk).unwrap(),
-        std::fs::read(&via_live).unwrap(),
-        "an at-rest truncation and a live torn write must leave the same file"
-    );
-
-    for path in [&via_facade, &via_disk, &via_live] {
-        let recovered = BatchJournal::open(path).unwrap();
-        assert_eq!(recovered.recovery().recovered, 1, "{}", path.display());
-        assert_eq!(recovered.recovery().dropped, 1, "{}", path.display());
-        // The surviving record replays; the torn one re-runs and is
-        // re-journaled — recovery semantics unchanged by the retarget.
-        let resumed = AnalysisPipeline::new(ChipSpec::training());
-        let results =
-            resumed.run_batch_resumable_with_workers(&refs, 1, &RunPolicy::default(), &recovered);
-        assert!(results.iter().all(Result::is_ok));
-        assert_eq!(resumed.supervisor_stats().journal_skips, 1);
-        assert_eq!(recovered.len(), 2);
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -23,8 +23,8 @@ use ascend::arch::ChipSpec;
 use ascend::faults::HostileMode;
 use ascend::ops::OpSpec;
 use ascend::pipeline::{
-    AnalysisPipeline, AnalysisService, Isolation, PipelineError, Priority, Request, SandboxConfig,
-    ServiceConfig,
+    AnalysisPipeline, AnalysisService, Isolation, PipelineError, Priority, Request, RunPolicy,
+    SandboxConfig, SandboxedExecutor, ServiceConfig, WorkSpec,
 };
 use ascend::sim::SimError;
 use std::path::PathBuf;
@@ -215,7 +215,7 @@ fn drain_preempts_a_sandboxed_child_instead_of_waiting_out_its_clock() {
         },
     );
     let spinner = svc
-        .submit(Request::interactive_spec(ascend::pipeline::WorkSpec::hostile(HostileMode::Spin)))
+        .submit(Request::interactive_spec(WorkSpec::hostile(HostileMode::Spin)))
         .expect("admission");
     // Give the child time to actually start spinning.
     std::thread::sleep(Duration::from_millis(200));
@@ -230,4 +230,40 @@ fn drain_preempts_a_sandboxed_child_instead_of_waiting_out_its_clock() {
     assert_eq!(health.sandbox.preempted, 1, "the kill is attributed to preemption");
     assert_eq!(health.sandbox.hung, 0, "not to a hang");
     assert_eq!(health.counters.terminal_states(), health.counters.accepted);
+}
+
+/// The sandboxed path reads the disk tier like the in-process paths: a
+/// store written through one executor serves a fresh executor after a
+/// restart, so the repeat spawns no child and appends no duplicate.
+#[test]
+fn sandboxed_repeats_are_served_from_a_reopened_store() {
+    let dir = std::env::temp_dir().join(format!("ascend-sandbox-store-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("sandbox.astr");
+    let chip = ChipSpec::training();
+    let work = WorkSpec::op(OpSpec::add_relu(1 << 12));
+    let policy = RunPolicy::default();
+    let executor_over_store = || {
+        let pipeline = AnalysisPipeline::new(chip.clone()).with_store(&path).unwrap();
+        SandboxedExecutor::new(pipeline, sandbox_config())
+    };
+
+    let first = {
+        let executor = executor_over_store();
+        let result = executor.run_supervised(&work, &policy, None).expect("clean work");
+        assert_eq!(executor.counters().spawned, 1);
+        assert_eq!(executor.pipeline().store_stats().unwrap().appends, 1);
+        result
+    };
+
+    let executor = executor_over_store();
+    assert_eq!(executor.pipeline().store_stats().unwrap().recovered, 1);
+    let again = executor.run_supervised(&work, &policy, None).expect("disk hit");
+    assert_eq!(*again, *first, "the disk hit is the persisted result");
+    assert_eq!(executor.counters().spawned, 0, "a disk hit never spawns a child");
+    let store = executor.pipeline().store_stats().unwrap();
+    assert_eq!(store.hits, 1);
+    assert_eq!(store.appends, 0, "a recovered entry is not persisted twice");
+    assert_eq!(executor.pipeline().cache_stats().hits, 1);
+    std::fs::remove_dir_all(&dir).ok();
 }

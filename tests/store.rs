@@ -132,13 +132,13 @@ fn supervised_and_plain_paths_share_the_disk_tier() {
     {
         let pipeline = AnalysisPipeline::new(chip.clone()).with_store(&path).unwrap();
         for op in &ops {
-            pipeline.run_supervised(op.as_ref(), &RunPolicy::resilient()).unwrap();
+            pipeline.run_supervised(op.as_ref(), &RunPolicy::resilient(), None).unwrap();
         }
         assert_eq!(pipeline.store_stats().unwrap().appends, ops.len() as u64);
     }
     let warm = AnalysisPipeline::new(chip).with_store(&path).unwrap();
     for op in &ops {
-        let result = warm.run_supervised(op.as_ref(), &RunPolicy::resilient()).unwrap();
+        let result = warm.run_supervised(op.as_ref(), &RunPolicy::resilient(), None).unwrap();
         assert_eq!(result.fidelity, Fidelity::Simulated);
     }
     assert_eq!(warm.store_stats().unwrap().hits, ops.len() as u64);
