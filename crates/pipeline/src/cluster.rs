@@ -28,8 +28,18 @@
 //! * **Respawn with backoff.** A dead shard is respawned under seeded
 //!   exponential backoff; consecutive failures open a per-shard circuit
 //!   breaker (visible in [`ShardHealth`]) that manifests as growing
-//!   backoff rather than permanent eviction. A successful warm-up ping
+//!   backoff rather than permanent eviction. An acknowledged hello
 //!   closes it.
+//! * **Hello, then jobs.** The first frame of every spawn is a
+//!   [`ShardHello`] carrying the chip, thresholds, heartbeat interval,
+//!   store path, full quarantine set and the chaos-only buggy engine;
+//!   the shard builds its resident pipeline from it once. Every later
+//!   frame is a [`ShardJob`] carrying only the context fingerprint, the
+//!   work, its deadline and budget, and pending tombstones, so the chip
+//!   crosses the pipe once per spawn instead of once per request. A job
+//!   before the hello, or for another context, is a malformed stream:
+//!   the shard exits 3 without serving it. This split is
+//!   [`WIRE_VERSION`](crate::WIRE_VERSION) 2.
 //! * **Durable rewarm.** With [`ClusterConfig::store_dir`] set, each
 //!   shard opens its own context-pinned
 //!   [`ResultStore`](crate::ResultStore) segment
@@ -38,7 +48,7 @@
 //! * **Quarantine broadcast.** [`ClusterService::quarantine`] tombstones
 //!   a fingerprint cluster-wide: every live shard gets the tombstone on
 //!   its next frame (an idle shard is nudged with a control ping), and
-//!   every respawn warm-up carries the *full* quarantine set — no shard
+//!   every respawn hello carries the *full* quarantine set — no shard
 //!   ever serves a tombstoned result, before or after a kill.
 //! * **Graceful drain.** [`ClusterService::drain`] stops admissions,
 //!   flushes queued tickets, cancels in-flight attempts, then kills the
@@ -196,28 +206,52 @@ impl HashRing {
 // Wire payloads (inside the sandbox tier's ASBX frame container)
 // ---------------------------------------------------------------------
 
-/// Parent → shard: one request, or a control ping when `work` is `None`.
-/// Control pings open/rewarm the shard's store and apply tombstones
-/// without running anything.
+/// Parent → shard: one frame of the shard's input stream. The first
+/// frame of every spawn is a [`ShardHello`]; every later one is a
+/// [`ShardJob`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct ShardJob {
+enum ShardRequest {
+    /// Sets the shard's serving context, once per spawn.
+    Hello(ShardHello),
+    /// One request, or a quarantine nudge.
+    Job(ShardJob),
+}
+
+/// Everything a shard's resident pipeline is built from. Sent once per
+/// spawn, so the chip crosses the pipe once per shard process rather
+/// than once per request.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct ShardHello {
     chip: ChipSpec,
     thresholds: Thresholds,
-    /// `None` is a control ping (warm-up, quarantine nudge).
-    work: Option<WorkSpec>,
-    deadline_ms: Option<u64>,
-    budget: Option<WireBudget>,
     heartbeat_ms: u64,
-    /// The shard's own durable store segment, opened on first use.
+    /// The shard's own durable store segment.
     store_path: Option<String>,
-    /// Tombstones to apply before serving: fingerprints this shard must
-    /// never answer from cached state.
+    /// The full quarantine set at spawn time: fingerprints this shard
+    /// must never answer from cached state.
     quarantine: Vec<u64>,
     /// Chaos-only: a silently-wrong engine the shard's resident pipeline
     /// must arm ([`AnalysisPipeline::with_buggy_engine`]). Absent in
     /// every production frame.
     #[serde(default)]
     buggy: Option<BuggyEngine>,
+}
+
+/// One request on a shard that has had its [`ShardHello`], or a control
+/// ping when `work` is `None`. Control pings apply tombstones without
+/// running anything.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct ShardJob {
+    /// The context fingerprint the parent routed under. A shard serving
+    /// another context treats the frame as a malformed stream.
+    context: u64,
+    /// `None` is a control ping (quarantine nudge).
+    work: Option<WorkSpec>,
+    deadline_ms: Option<u64>,
+    budget: Option<WireBudget>,
+    /// Tombstones to apply before serving, not yet acknowledged by this
+    /// shard.
+    quarantine: Vec<u64>,
 }
 
 /// The typed outcome inside a [`ShardReply`].
@@ -1116,8 +1150,8 @@ fn maintain(
 }
 
 /// One respawn attempt: spawn the worker binary, warm it up with a
-/// control ping carrying the full quarantine set (and its store path,
-/// so it rewarms from disk), and install it on success.
+/// hello carrying the full quarantine set (and its store path, so it
+/// rewarms from disk), and install it on success.
 fn try_respawn(
     shared: &Arc<ClusterShared>,
     index: usize,
@@ -1186,8 +1220,8 @@ fn backoff_for(attempt: u32, config: &ClusterConfig, rng: &mut SplitMix64) -> Du
     Duration::from_secs_f64(capped.as_secs_f64() * jitter).min(config.respawn_backoff_max)
 }
 
-/// Sends the warm-up control ping on a not-yet-installed process and
-/// waits for its acknowledgement under the sandbox limits.
+/// Sends the hello on a not-yet-installed process and waits for its
+/// acknowledgement under the sandbox limits.
 fn warm_up(
     shared: &ClusterShared,
     index: usize,
@@ -1195,18 +1229,15 @@ fn warm_up(
     receiver: &Receiver<ReadEvent>,
     tombstones: &[u64],
 ) -> Result<ShardReply, PipelineError> {
-    let job = ShardJob {
+    let hello = ShardRequest::Hello(ShardHello {
         chip: shared.chip.clone(),
         thresholds: shared.config.thresholds,
-        work: None,
-        deadline_ms: None,
-        budget: None,
         heartbeat_ms: shared.config.sandbox.heartbeat_interval.as_millis().max(1) as u64,
         store_path: shared.shard_store_path(index).map(|p| p.display().to_string()),
         quarantine: tombstones.to_vec(),
         buggy: shared.config.buggy,
-    };
-    let payload = serde_json::to_string(&job).map_err(|err| PipelineError::WorkerProtocol {
+    });
+    let payload = serde_json::to_string(&hello).map_err(|err| PipelineError::WorkerProtocol {
         detail: format!("warm-up frame serialization failed: {err}"),
     })?;
     process.stdin.send(FrameKind::Job, payload.as_bytes()).map_err(|err| {
@@ -1233,7 +1264,17 @@ fn warm_up(
                     last_beat = Instant::now();
                 }
                 FrameKind::Outcome => {
-                    return parse_reply(&frame.payload);
+                    let reply = parse_reply(&frame.payload)?;
+                    return match reply.outcome {
+                        ShardResult::Control => Ok(reply),
+                        ShardResult::Err { failure } => Err(PipelineError::WorkerReported {
+                            message: failure.message,
+                            transient: failure.transient,
+                        }),
+                        ShardResult::Ok { .. } => Err(PipelineError::WorkerProtocol {
+                            detail: "shard answered its hello with a result".to_string(),
+                        }),
+                    };
                 }
                 FrameKind::Job => {
                     return Err(PipelineError::WorkerProtocol {
@@ -1321,9 +1362,8 @@ fn run_one(
         let slot = &state.shards[index];
         (slot.pending_tombstones.clone(), state.quarantined.contains(&job.key))
     };
-    let shard_job = ShardJob {
-        chip: shared.chip.clone(),
-        thresholds: shared.config.thresholds,
+    let request = ShardRequest::Job(ShardJob {
+        context: shared.context,
         work: job.work,
         deadline_ms: job
             .deadline
@@ -1332,12 +1372,9 @@ fn run_one(
             .config
             .budget
             .map(|b| WireBudget { max_events: b.max_events, max_cycles: b.max_cycles }),
-        heartbeat_ms: shared.config.sandbox.heartbeat_interval.as_millis().max(1) as u64,
-        store_path: shared.shard_store_path(index).map(|p| p.display().to_string()),
         quarantine: sent_tombstones.clone(),
-        buggy: shared.config.buggy,
-    };
-    let payload = match serde_json::to_string(&shard_job) {
+    });
+    let payload = match serde_json::to_string(&request) {
         Ok(payload) => payload,
         Err(err) => {
             conclude(
@@ -1352,8 +1389,6 @@ fn run_one(
             return;
         }
     };
-    // Put the (possibly rerouted) work back into the job for failover.
-    let job = ClusterJob { work: shard_job.work, ..job };
 
     let pid = lock(&shared.state).shards[index].pid;
     let sent = {
@@ -1727,22 +1762,22 @@ fn await_reply(
 // Child side (the shard worker)
 // ---------------------------------------------------------------------
 
-/// A shard's resident serving state: the pipeline (with its memory
-/// cache and optional store) survives across jobs, which is what makes
-/// a shard warm at all.
+/// A shard's resident serving state, built from its hello: the
+/// pipeline (with its memory cache and optional store) survives across
+/// jobs, which is what makes a shard warm at all.
 struct ResidentPipeline {
     context: u64,
-    store_path: Option<String>,
-    buggy: Option<BuggyEngine>,
     pipeline: AnalysisPipeline,
     recovered: u64,
 }
 
-/// The cluster shard worker loop: read [`ShardJob`] frames from stdin,
-/// serve them on a resident [`AnalysisPipeline`] (memory cache, durable
-/// store, quarantine tombstones and all), write [`ShardReply`] frames
-/// (and heartbeats, from a dedicated thread) to stdout. Exits 0 on
-/// clean EOF, 3 on a malformed input stream. Never returns.
+/// The cluster shard worker loop: read one [`ShardHello`] and then
+/// [`ShardJob`] frames from stdin, serve them on a resident
+/// [`AnalysisPipeline`] (memory cache, durable store, quarantine
+/// tombstones and all), write [`ShardReply`] frames (and heartbeats,
+/// from a dedicated thread) to stdout. Exits 0 on clean EOF, 3 on a
+/// malformed input stream — which includes a job before the hello and a
+/// job for another context. Never returns.
 ///
 /// Reached through [`run_worker_if_requested`](crate::run_worker_if_requested)
 /// when [`CLUSTER_SHARD_ENV`] is set — the same re-exec convention as
@@ -1764,19 +1799,30 @@ pub fn shard_worker_main() -> ! {
             eprintln!("[cluster shard] unexpected frame kind (want job)");
             std::process::exit(3);
         }
-        let job: ShardJob = match std::str::from_utf8(&frame.payload)
+        let request: ShardRequest = match std::str::from_utf8(&frame.payload)
             .ok()
             .and_then(|text| serde_json::from_str(text).ok())
         {
-            Some(job) => job,
+            Some(request) => request,
             None => {
                 eprintln!("[cluster shard] job frame did not parse");
                 std::process::exit(3);
             }
         };
-        ensure_heartbeats(&stdout, Duration::from_millis(job.heartbeat_ms.max(1)));
-        let fault = job.work.as_ref().and_then(WorkSpec::protocol_fault);
-        let reply = serve_shard_job(&mut resident, job);
+        let fault = match &request {
+            ShardRequest::Hello(hello) => {
+                ensure_heartbeats(&stdout, Duration::from_millis(hello.heartbeat_ms.max(1)));
+                None
+            }
+            ShardRequest::Job(job) => job.work.as_ref().and_then(WorkSpec::protocol_fault),
+        };
+        let reply = match serve_shard_request(&mut resident, request) {
+            Ok(reply) => reply,
+            Err(detail) => {
+                eprintln!("[cluster shard] malformed input: {detail}");
+                std::process::exit(3);
+            }
+        };
         let payload = match serde_json::to_string(&reply) {
             Ok(payload) => payload,
             Err(err) => {
@@ -1811,58 +1857,80 @@ pub fn shard_worker_main() -> ! {
     }
 }
 
-/// Serves one [`ShardJob`] on the resident pipeline, (re)building it
-/// when the context or store path changed.
-fn serve_shard_job(resident: &mut Option<ResidentPipeline>, job: ShardJob) -> ShardReply {
-    let context = crate::context_fingerprint(&job.chip, &job.thresholds);
-    let stale = resident.as_ref().is_none_or(|r| {
-        r.context != context || r.store_path != job.store_path || r.buggy != job.buggy
-    });
-    if stale {
-        let pipeline = match AnalysisPipeline::try_new(job.chip.clone()) {
-            Ok(pipeline) => pipeline.with_thresholds(job.thresholds),
-            Err(err) => {
-                return ShardReply {
-                    outcome: ShardResult::Err {
-                        failure: WireFailure {
-                            message: PipelineError::Chip(err).to_string(),
-                            transient: false,
-                        },
-                    },
+/// Applies one input frame to the shard's state. A hello builds the
+/// resident pipeline; a job is served on it. `Err` is a malformed
+/// stream — a second hello, a job before the hello, or a job for a
+/// context other than the resident one — which the shard answers by
+/// exiting, never by serving.
+fn serve_shard_request(
+    resident: &mut Option<ResidentPipeline>,
+    request: ShardRequest,
+) -> Result<ShardReply, &'static str> {
+    match (request, resident.as_mut()) {
+        (ShardRequest::Hello(hello), None) => Ok(match open_resident(hello) {
+            Ok(built) => {
+                let recovered = built.recovered;
+                *resident = Some(built);
+                ShardReply {
+                    outcome: ShardResult::Control,
                     served_cached: false,
-                    store_recovered: 0,
+                    store_recovered: recovered,
                 }
             }
-        };
-        let pipeline = match &job.store_path {
-            // A store the shard cannot open degrades to memory-only
-            // serving, mirroring the resident service's policy.
-            Some(path) => match pipeline.clone().with_store(path) {
-                Ok(with_store) => with_store,
-                Err(err) => {
-                    eprintln!(
-                        "[cluster shard] warning: store at {path} not attached ({err}); \
-                         serving memory-only"
-                    );
-                    pipeline
-                }
+            Err(failure) => ShardReply {
+                outcome: ShardResult::Err { failure },
+                served_cached: false,
+                store_recovered: 0,
             },
-            None => pipeline,
-        };
-        let pipeline = match job.buggy {
-            Some(bug) => pipeline.with_buggy_engine(bug),
-            None => pipeline,
-        };
-        let recovered = pipeline.store_stats().map_or(0, |stats| stats.recovered);
-        *resident = Some(ResidentPipeline {
-            context,
-            store_path: job.store_path.clone(),
-            buggy: job.buggy,
-            pipeline,
-            recovered,
-        });
+        }),
+        (ShardRequest::Hello(_), Some(_)) => Err("a second hello"),
+        (ShardRequest::Job(_), None) => Err("a job frame before the hello"),
+        (ShardRequest::Job(job), Some(resident)) if job.context == resident.context => {
+            Ok(serve_shard_job(resident, job))
+        }
+        (ShardRequest::Job(_), Some(_)) => Err("a job frame for a foreign context"),
     }
-    let resident = resident.as_mut().expect("resident pipeline was just ensured");
+}
+
+/// Builds the resident pipeline a hello describes.
+fn open_resident(hello: ShardHello) -> Result<ResidentPipeline, WireFailure> {
+    let pipeline = AnalysisPipeline::try_new(hello.chip.clone()).map_err(|err| WireFailure {
+        message: PipelineError::Chip(err).to_string(),
+        transient: false,
+    })?;
+    let pipeline = pipeline.with_thresholds(hello.thresholds);
+    let pipeline = match &hello.store_path {
+        // A store the shard cannot open degrades to memory-only
+        // serving, mirroring the resident service's policy.
+        Some(path) => match pipeline.clone().with_store(path) {
+            Ok(with_store) => with_store,
+            Err(err) => {
+                eprintln!(
+                    "[cluster shard] warning: store at {path} not attached ({err}); \
+                     serving memory-only"
+                );
+                pipeline
+            }
+        },
+        None => pipeline,
+    };
+    let pipeline = match hello.buggy {
+        Some(bug) => pipeline.with_buggy_engine(bug),
+        None => pipeline,
+    };
+    let recovered = pipeline.store_stats().map_or(0, |stats| stats.recovered);
+    for key in &hello.quarantine {
+        pipeline.quarantine_key(*key);
+    }
+    Ok(ResidentPipeline {
+        context: crate::context_fingerprint(&hello.chip, &hello.thresholds),
+        pipeline,
+        recovered,
+    })
+}
+
+/// Serves one [`ShardJob`] on the resident pipeline.
+fn serve_shard_job(resident: &mut ResidentPipeline, job: ShardJob) -> ShardReply {
     for key in &job.quarantine {
         resident.pipeline.quarantine_key(*key);
     }
@@ -1956,22 +2024,46 @@ mod tests {
         assert!(ring.route(42, |shard| shard == 1) == Some(1));
     }
 
-    #[test]
-    fn shard_frames_round_trip() {
-        let job = ShardJob {
+    fn hello() -> ShardHello {
+        ShardHello {
             chip: ChipSpec::inference(),
             thresholds: Thresholds::default(),
-            work: Some(WorkSpec::op(OpSpec::matmul(16, 16, 16))),
+            heartbeat_ms: 20,
+            store_path: None,
+            quarantine: vec![1, 2, 3],
+            buggy: None,
+        }
+    }
+
+    fn job(context: u64, spec: OpSpec) -> ShardJob {
+        ShardJob {
+            context,
+            work: Some(WorkSpec::op(spec)),
             deadline_ms: Some(250),
             budget: Some(WireBudget { max_events: 10_000, max_cycles: 1e9 }),
-            heartbeat_ms: 20,
-            store_path: Some("/tmp/shard-0.astr".to_string()),
-            quarantine: vec![1, 2, 3],
+            quarantine: vec![4, 5],
+        }
+    }
+
+    #[test]
+    fn shard_frames_round_trip() {
+        let with_chaos = ShardHello {
+            store_path: Some("shard-0.astr".to_string()),
             buggy: Some(BuggyEngine::new(7)),
+            ..hello()
         };
-        let json = serde_json::to_string(&job).unwrap();
-        let back: ShardJob = serde_json::from_str(&json).unwrap();
-        assert_eq!(job, back);
+        let control =
+            ShardJob { work: None, deadline_ms: None, budget: None, ..job(9, OpSpec::gelu(64)) };
+        for request in [
+            ShardRequest::Hello(hello()),
+            ShardRequest::Hello(with_chaos),
+            ShardRequest::Job(job(u64::MAX, OpSpec::matmul(16, 16, 16))),
+            ShardRequest::Job(control),
+        ] {
+            let json = serde_json::to_string(&request).unwrap();
+            let back: ShardRequest = serde_json::from_str(&json).unwrap();
+            assert_eq!(request, back);
+        }
 
         let reply = ShardReply {
             outcome: ShardResult::Err {
@@ -1983,6 +2075,40 @@ mod tests {
         let json = serde_json::to_string(&reply).unwrap();
         let back: ShardReply = serde_json::from_str(&json).unwrap();
         assert_eq!(reply, back);
+    }
+
+    #[test]
+    fn a_job_frame_carries_no_chip() {
+        let hello = ShardRequest::Hello(hello());
+        let job = ShardRequest::Job(job(u64::MAX, OpSpec::add_relu(1 << 14)));
+        let job_bytes = serde_json::to_string(&job).unwrap().len();
+        assert!(job_bytes < 1024, "a job frame payload is {job_bytes} bytes");
+        let hello_bytes = serde_json::to_string(&hello).unwrap().len();
+        assert!(hello_bytes > job_bytes, "the chip rides the hello ({hello_bytes} bytes)");
+    }
+
+    #[test]
+    fn only_a_job_on_the_hello_context_is_served() {
+        let context = crate::context_fingerprint(&ChipSpec::inference(), &Thresholds::default());
+        let work = || ShardRequest::Job(job(context, OpSpec::add_relu(1 << 10)));
+        let foreign = || ShardRequest::Job(job(context ^ 1, OpSpec::add_relu(1 << 10)));
+
+        let mut resident = None;
+        assert!(serve_shard_request(&mut resident, work()).is_err(), "a job before the hello");
+        assert!(resident.is_none());
+
+        let ack = serve_shard_request(&mut resident, ShardRequest::Hello(hello())).unwrap();
+        assert_eq!(ack.outcome, ShardResult::Control);
+        assert_eq!(resident.as_ref().map(|r| r.context), Some(context));
+        assert!(serve_shard_request(&mut resident, foreign()).is_err(), "a foreign context");
+        assert!(
+            serve_shard_request(&mut resident, ShardRequest::Hello(hello())).is_err(),
+            "a second hello"
+        );
+
+        let served = serve_shard_request(&mut resident, work()).unwrap();
+        assert!(matches!(served.outcome, ShardResult::Ok { .. }), "{served:?}");
+        assert!(serve_shard_request(&mut resident, foreign()).is_err(), "a foreign context");
     }
 
     #[test]

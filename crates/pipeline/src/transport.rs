@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 
 /// Wire-format version stamped into every frame. Readers reject frames
 /// from any other version instead of guessing.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 
 /// Frame preamble: identifies a byte stream as sandbox frames at all.
 pub(crate) const MAGIC: [u8; 4] = *b"ASBX";

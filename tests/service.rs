@@ -7,21 +7,127 @@
 //! latency first and derives the 2x-overload arrival rate from that
 //! measurement, so the same invariants hold in debug and release
 //! builds.
+//!
+//! Work that must be long is long by construction, not by input size:
+//! the soak's operators take a fixed wall-clock time to build, and the
+//! scheduling and drain tests hold their operators in `build` behind a
+//! [`Gate`] the test opens. A fast build machine therefore cannot
+//! finish the work before the assertion looks at it.
 
 use ascend::arch::ChipSpec;
 use ascend::faults::{FaultPlan, FaultedOperator, LoadProfile, PanicOperator, PanicSwitch};
-use ascend::ops::{AddRelu, Operator};
+use ascend::isa::{IsaError, Kernel};
+use ascend::ops::{AddRelu, Operator, OptFlags};
 use ascend::pipeline::{AnalysisPipeline, AnalysisService, PipelineError, Request, ServiceConfig};
+use std::fmt;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 fn service(config: ServiceConfig) -> AnalysisService {
     AnalysisService::start(AnalysisPipeline::new(ChipSpec::training()), config)
 }
 
-/// A unique (never cache-hitting) operator; ~1 ms of work even in
-/// release builds, so queueing effects dominate scheduler noise.
+/// How long a gate nobody opens holds its operators. A scheduling bug
+/// then fails an assertion instead of hanging the suite.
+const GATE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// A latch the test opens, counting the builds that reached it.
+#[derive(Clone, Default)]
+struct Gate(Arc<(Mutex<GateState>, Condvar)>);
+
+#[derive(Default)]
+struct GateState {
+    open: bool,
+    entered: usize,
+}
+
+impl Gate {
+    fn open(&self) {
+        let (state, changed) = &*self.0;
+        state.lock().unwrap().open = true;
+        changed.notify_all();
+    }
+
+    /// Blocks a build until the gate opens (or [`GATE_TIMEOUT`] passes).
+    fn pass(&self) {
+        let (state, changed) = &*self.0;
+        let mut guard = state.lock().unwrap();
+        guard.entered += 1;
+        changed.notify_all();
+        let _ = changed.wait_timeout_while(guard, GATE_TIMEOUT, |s| !s.open).unwrap();
+    }
+
+    /// Blocks until `builds` builds are waiting at (or went through) the
+    /// gate.
+    fn await_entered(&self, builds: usize) {
+        let (state, changed) = &*self.0;
+        let guard = state.lock().unwrap();
+        let (guard, _) =
+            changed.wait_timeout_while(guard, GATE_TIMEOUT, |s| s.entered < builds).unwrap();
+        assert!(
+            guard.entered >= builds,
+            "only {} of {builds} builds reached the gate",
+            guard.entered
+        );
+    }
+}
+
+/// What a [`HeldOp`]'s `build` waits on before generating its kernel.
+#[derive(Clone)]
+enum Hold {
+    /// Until the test opens the gate.
+    Gate(Gate),
+    /// A fixed wall-clock time, so service time is set by the test.
+    For(Duration),
+}
+
+/// An `AddRelu` whose `build` first waits on a [`Hold`].
+struct HeldOp {
+    inner: AddRelu,
+    hold: Hold,
+}
+
+fn gated(gate: &Gate, elements: u64) -> Box<dyn Operator> {
+    Box::new(HeldOp { inner: AddRelu::new(elements), hold: Hold::Gate(gate.clone()) })
+}
+
+/// A unique (never cache-hitting) operator taking a fixed 3 ms, so
+/// queueing effects dominate scheduler noise in any build.
 fn unique_op(index: u64) -> Box<dyn Operator> {
-    Box::new(AddRelu::new((1 << 22) + index * 257))
+    Box::new(HeldOp {
+        inner: AddRelu::new((1 << 10) + index * 257),
+        hold: Hold::For(Duration::from_millis(3)),
+    })
+}
+
+impl fmt::Debug for HeldOp {
+    // The descriptor (and so the cache key) comes from the inner
+    // operator; the gate's state must not leak into it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("HeldOp").field(&self.inner).finish()
+    }
+}
+
+impl Operator for HeldOp {
+    fn name(&self) -> String {
+        format!("{}+held", self.inner.name())
+    }
+
+    fn flags(&self) -> OptFlags {
+        self.inner.flags()
+    }
+
+    fn with_flags_dyn(&self, flags: OptFlags) -> Box<dyn Operator> {
+        Box::new(HeldOp { inner: self.inner.with_flags(flags), hold: self.hold.clone() })
+    }
+
+    fn build(&self, chip: &ChipSpec) -> Result<Kernel, IsaError> {
+        match &self.hold {
+            Hold::Gate(gate) => gate.pass(),
+            Hold::For(duration) => std::thread::sleep(*duration),
+        }
+        self.inner.build(chip)
+    }
 }
 
 #[test]
@@ -134,15 +240,25 @@ fn drain_returns_on_time_with_workers_midflight_and_a_panic() {
         "the poison ticket fails with the panic, not a hang"
     );
     tickets.push(poison_ticket);
-    // Then long items: two go mid-flight, the rest stay queued when the
-    // drain lands.
+    // Then gated items: two go mid-flight and block in `build`, the rest
+    // stay queued when the drain lands.
+    let gate = Gate::default();
     for i in 0..6u64 {
-        tickets.push(svc.submit(Request::sweep(Box::new(AddRelu::new((1 << 23) + i)))).unwrap());
+        tickets.push(svc.submit(Request::sweep(gated(&gate, (1 << 23) + i))).unwrap());
     }
-    std::thread::sleep(Duration::from_millis(1));
+    gate.await_entered(2);
 
     let deadline = Duration::from_secs(10);
-    let report = svc.drain(deadline);
+    let last = tickets.last().expect("six gated tickets");
+    let report = std::thread::scope(|scope| {
+        // Release the mid-flight builds once drain has flushed the
+        // queue; their attempts then meet the cancelled drain token.
+        scope.spawn(|| {
+            let _ = last.wait_timeout(GATE_TIMEOUT);
+            gate.open();
+        });
+        svc.drain(deadline)
+    });
     assert!(report.quiesced, "a panicking item must not wedge drain: {report:?}");
     assert!(report.elapsed < deadline, "drain must beat its deadline: {report:?}");
     assert!(report.flushed_queued > 0, "some items were still queued at drain: {report:?}");
@@ -192,15 +308,21 @@ fn hedging_rescues_a_straggler_and_counts_the_win() {
 fn interactive_requests_overtake_queued_sweeps() {
     let svc = service(ServiceConfig { workers: 1, queue_capacity: 8, ..ServiceConfig::default() });
     // Occupy the only worker, then queue a sweep before an interactive
-    // request: the interactive one must be dequeued first.
-    let head = svc.submit(Request::sweep(Box::new(AddRelu::new(1 << 22)))).unwrap();
-    let sweep = svc.submit(Request::sweep(Box::new(AddRelu::new((1 << 22) + 1)))).unwrap();
+    // request: the interactive one must be dequeued first. The sweep is
+    // gated too, so it cannot finish before the check even if it ran.
+    let head_gate = Gate::default();
+    let sweep_gate = Gate::default();
+    let head = svc.submit(Request::sweep(gated(&head_gate, 1 << 22))).unwrap();
+    head_gate.await_entered(1);
+    let sweep = svc.submit(Request::sweep(gated(&sweep_gate, (1 << 22) + 1))).unwrap();
     let interactive = svc.submit(Request::interactive(Box::new(AddRelu::new(1 << 12)))).unwrap();
+    head_gate.open();
     interactive.wait().expect("interactive completes");
     assert!(
         sweep.try_result().is_none(),
         "the earlier-queued sweep is still waiting when the interactive answer lands"
     );
+    sweep_gate.open();
     head.wait().expect("head of line completes");
     sweep.wait().expect("sweep completes eventually");
     let report = svc.drain(Duration::from_secs(5));
