@@ -315,9 +315,9 @@ fn run_schedule(
             sandbox: SandboxConfig {
                 heartbeat_timeout: Duration::from_millis(300),
                 wall_clock_limit: Duration::from_secs(2),
+                wire_faults: schedule.wire_plan(),
                 ..SandboxConfig::default()
             },
-            wire_faults: schedule.wire_plan(),
             buggy: schedule.buggy(),
             ..ClusterConfig::default()
         },

@@ -3,10 +3,11 @@
 //!
 //! The [`AnalysisService`](crate::AnalysisService) hardened a *single*
 //! process; this module scales the same guarantees horizontally. A
-//! [`ClusterService`] owns `N` long-lived shard processes — the same
-//! binary re-executed with the [`CLUSTER_SHARD_ENV`] marker, speaking
-//! the sandbox tier's `ASBX` framed wire protocol — and routes every
-//! request by consistent hash of its pipeline cache fingerprint:
+//! [`ClusterService`] owns `N` long-lived shard processes — the child
+//! host the sandbox pool also runs (`worker.rs`), so both tiers share
+//! one hello/job protocol, one monitor and one exit taxonomy — and
+//! routes every request by consistent hash of its pipeline cache
+//! fingerprint. This module keeps only the routing:
 //!
 //! * **Consistent-hash ring.** [`HashRing`] places
 //!   [`DEFAULT_VIRTUAL_NODES`] points per shard on a 64-bit ring built
@@ -30,16 +31,11 @@
 //!   breaker (visible in [`ShardHealth`]) that manifests as growing
 //!   backoff rather than permanent eviction. An acknowledged hello
 //!   closes it.
-//! * **Hello, then jobs.** The first frame of every spawn is a
-//!   [`ShardHello`] carrying the chip, thresholds, heartbeat interval,
-//!   store path, full quarantine set and the chaos-only buggy engine;
-//!   the shard builds its resident pipeline from it once. Every later
-//!   frame is a [`ShardJob`] carrying only the context fingerprint, the
-//!   work, its deadline and budget, and pending tombstones, so the chip
-//!   crosses the pipe once per spawn instead of once per request. A job
-//!   before the hello, or for another context, is a malformed stream:
-//!   the shard exits 3 without serving it. This split is
-//!   [`WIRE_VERSION`](crate::WIRE_VERSION) 2.
+//! * **Hello, then jobs.** Each spawn's hello carries the shard's store
+//!   path, the full quarantine set and the chaos-only buggy engine on
+//!   top of the chip; every later job frame carries only the context
+//!   fingerprint, the work, its deadline and budget, and pending
+//!   tombstones ([`WIRE_VERSION`](crate::WIRE_VERSION) 3).
 //! * **Durable rewarm.** With [`ClusterConfig::store_dir`] set, each
 //!   shard opens its own context-pinned
 //!   [`ResultStore`](crate::ResultStore) segment
@@ -82,35 +78,27 @@
 //! ```
 
 use crate::digest::Fnv64;
-use crate::sandbox::{
-    classify_exit, ensure_heartbeats, rss_bytes, spawn_framed_child, ReadEvent, SandboxConfig,
-    WireBudget, WireFailure, WorkSpec,
-};
+use crate::sandbox::{SandboxConfig, WorkSpec};
 use crate::service::{Priority, Ticket, TicketShared};
-use crate::supervisor::RunPolicy;
-use crate::transport::{
-    protocol_fault_bytes, read_frame, write_frame, FrameKind, FrameTransport, PipeTransport,
+use crate::transport::{FrameKind, FrameTransport};
+use crate::worker::{
+    await_reply, classify_exit, encode, idle_check, start_worker, worker_program, ReadEvent, Reap,
+    ShardHello, ShardJob, ShardRequest, ShardResult, WorkerProcess,
 };
-use crate::{lock, AnalysisPipeline, PipelineError, PipelineResult};
+use crate::{lock, PipelineError, PipelineResult};
 use ascend_arch::ChipSpec;
 use ascend_faults::{BuggyEngine, FaultyTransport, SplitMix64};
 use ascend_roofline::Thresholds;
 use ascend_sim::{CancelToken, SimBudget, SimError};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
-use std::io::Write as _;
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, ExitStatus};
+use std::process::ExitStatus;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Environment marker that turns a re-exec of the current binary into a
-/// cluster shard worker (see
-/// [`run_worker_if_requested`](crate::run_worker_if_requested)).
-pub const CLUSTER_SHARD_ENV: &str = "ASCEND_CLUSTER_SHARD";
 
 /// Default virtual nodes per shard on the [`HashRing`]. 64 points keep
 /// per-shard keyspace shares within a few percent of `1/N`, so removing
@@ -120,10 +108,6 @@ pub const DEFAULT_VIRTUAL_NODES: usize = 64;
 /// Dispatcher tick: the cadence at which an idle dispatcher re-runs its
 /// maintenance pass (idle-death detection, respawn-backoff checks).
 const TICK: Duration = Duration::from_millis(10);
-
-/// Grace given to a child believed to be exiting voluntarily, so its own
-/// exit status survives instead of being overwritten by SIGKILL.
-const REAP_GRACE: Duration = Duration::from_millis(250);
 
 // ---------------------------------------------------------------------
 // The consistent-hash ring
@@ -203,88 +187,6 @@ impl HashRing {
 }
 
 // ---------------------------------------------------------------------
-// Wire payloads (inside the sandbox tier's ASBX frame container)
-// ---------------------------------------------------------------------
-
-/// Parent → shard: one frame of the shard's input stream. The first
-/// frame of every spawn is a [`ShardHello`]; every later one is a
-/// [`ShardJob`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum ShardRequest {
-    /// Sets the shard's serving context, once per spawn.
-    Hello(ShardHello),
-    /// One request, or a quarantine nudge.
-    Job(ShardJob),
-}
-
-/// Everything a shard's resident pipeline is built from. Sent once per
-/// spawn, so the chip crosses the pipe once per shard process rather
-/// than once per request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct ShardHello {
-    chip: ChipSpec,
-    thresholds: Thresholds,
-    heartbeat_ms: u64,
-    /// The shard's own durable store segment.
-    store_path: Option<String>,
-    /// The full quarantine set at spawn time: fingerprints this shard
-    /// must never answer from cached state.
-    quarantine: Vec<u64>,
-    /// Chaos-only: a silently-wrong engine the shard's resident pipeline
-    /// must arm ([`AnalysisPipeline::with_buggy_engine`]). Absent in
-    /// every production frame.
-    #[serde(default)]
-    buggy: Option<BuggyEngine>,
-}
-
-/// One request on a shard that has had its [`ShardHello`], or a control
-/// ping when `work` is `None`. Control pings apply tombstones without
-/// running anything.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct ShardJob {
-    /// The context fingerprint the parent routed under. A shard serving
-    /// another context treats the frame as a malformed stream.
-    context: u64,
-    /// `None` is a control ping (quarantine nudge).
-    work: Option<WorkSpec>,
-    deadline_ms: Option<u64>,
-    budget: Option<WireBudget>,
-    /// Tombstones to apply before serving, not yet acknowledged by this
-    /// shard.
-    quarantine: Vec<u64>,
-}
-
-/// The typed outcome inside a [`ShardReply`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum ShardResult {
-    /// The shard's pipeline ran the work to completion.
-    Ok {
-        /// The result, bit-identical to an in-process run.
-        result: Box<PipelineResult>,
-    },
-    /// The shard's pipeline run failed; the error crosses rendered.
-    Err {
-        /// The rendered failure.
-        failure: WireFailure,
-    },
-    /// Acknowledgement of a control ping.
-    Control,
-}
-
-/// Shard → parent: the outcome of one [`ShardJob`], plus the shard-side
-/// observability the cluster folds into its counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct ShardReply {
-    outcome: ShardResult,
-    /// Whether the answer came from the shard's warm state (memory or
-    /// disk) rather than a fresh computation.
-    served_cached: bool,
-    /// Entries the shard's store recovered at its last open — nonzero
-    /// after a respawn proves the disk rewarm worked.
-    store_recovered: u64,
-}
-
-// ---------------------------------------------------------------------
 // Configuration and observability types
 // ---------------------------------------------------------------------
 
@@ -306,10 +208,12 @@ pub struct ClusterConfig {
     pub default_deadline: Option<Duration>,
     /// Watchdog budget forwarded to every shard-side attempt.
     pub budget: Option<SimBudget>,
-    /// Containment limits inherited from the sandbox tier: worker
-    /// binary, heartbeat interval/timeout, wall-clock limit, RSS budget,
-    /// and monitor poll cadence. (`recycle_after` is ignored — shards
-    /// are long-lived residents, not disposable workers.)
+    /// Containment limits shared with the sandbox tier: worker binary,
+    /// heartbeat interval/timeout, wall-clock limit, RSS budget, monitor
+    /// poll cadence and, in chaos runs, the wire-fault plan (shard `i`
+    /// is shard `i` of the plan; each scheduled event fires at most once
+    /// per shard per direction, surviving respawns). `recycle_after` is
+    /// not used: shards are long-lived residents, not pooled workers.
     pub sandbox: SandboxConfig,
     /// Consecutive failures after which a shard's circuit breaker is
     /// considered open (reported in [`ShardHealth::breaker_open`]; the
@@ -330,11 +234,6 @@ pub struct ClusterConfig {
     /// `shard-<i>-<context>.astr` in this directory and rewarms from it
     /// on every respawn.
     pub store_dir: Option<PathBuf>,
-    /// Chaos-only: a wire-fault plan applied to every shard's pipe pair.
-    /// Each scheduled event fires at most once per shard per direction,
-    /// surviving respawns (a fresh process gets a healthy stream, but the
-    /// shared fault counter keeps advancing).
-    pub wire_faults: Option<ascend_faults::WireFaultPlan>,
     /// Chaos-only: arm every shard's resident pipeline with a
     /// silently-wrong engine. The cluster has no divergence auditor, so
     /// this is the canary a chaos run's bit-identity invariant must
@@ -358,7 +257,6 @@ impl Default for ClusterConfig {
             respawn_backoff_max: Duration::from_secs(1),
             seed: 0xC1A5_7E12_5EED_0001,
             store_dir: None,
-            wire_faults: None,
             buggy: None,
         }
     }
@@ -510,51 +408,6 @@ struct ClusterJob {
     failovers: u32,
 }
 
-/// A live shard process. The handle lives in a shared slot (not in the
-/// dispatcher) so [`ClusterService::kill_shard`] can SIGKILL it mid-job
-/// — the chaos harness's `kill -9`.
-#[derive(Debug)]
-struct ShardProcess {
-    child: Child,
-    stdin: PipeTransport<ChildStdin>,
-}
-
-impl ShardProcess {
-    fn pid(&self) -> u32 {
-        self.child.id()
-    }
-
-    /// Kills (idempotently) and reaps the child. A child that already
-    /// exited keeps its original status — SIGKILL on a zombie is a
-    /// no-op.
-    fn kill_and_reap(&mut self) -> Option<ExitStatus> {
-        let _ = self.child.kill();
-        self.child.wait().ok()
-    }
-
-    /// Reaps a child believed to have exited on its own, giving it
-    /// `grace` before falling back to a kill.
-    fn reap_with_grace(&mut self, grace: Duration) -> Option<ExitStatus> {
-        let deadline = Instant::now() + grace;
-        loop {
-            match self.child.try_wait() {
-                Ok(Some(status)) => return Some(status),
-                Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                _ => return self.kill_and_reap(),
-            }
-        }
-    }
-}
-
-impl Drop for ShardProcess {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
 /// Mutable state of one shard, under the cluster state lock.
 #[derive(Debug, Default)]
 struct ShardSlot {
@@ -578,6 +431,10 @@ impl ShardSlot {
     fn pop(&mut self) -> Option<ClusterJob> {
         self.queues.iter_mut().find_map(VecDeque::pop_front)
     }
+
+    fn drain_queues(&mut self) -> Vec<ClusterJob> {
+        self.queues.iter_mut().flat_map(|queue| queue.drain(..)).collect()
+    }
 }
 
 /// Everything under the one cluster state mutex: shard slots, the
@@ -595,6 +452,15 @@ struct ClusterState {
 impl ClusterState {
     fn depth(&self) -> usize {
         self.shards.iter().map(ShardSlot::depth).sum()
+    }
+
+    /// Marks shard `index` down, bumping the ring generation if it was up.
+    fn mark_down(&mut self, index: usize) -> &mut ShardSlot {
+        self.generation += u64::from(self.shards[index].up);
+        let slot = &mut self.shards[index];
+        slot.up = false;
+        slot.pid = None;
+        slot
     }
 }
 
@@ -618,7 +484,7 @@ struct ClusterShared {
     /// One process slot per shard, outside the state lock so a frame
     /// write or a `kill_shard` never blocks routing. Lock ordering:
     /// never hold the state lock and a process slot lock together.
-    workers: Vec<Mutex<Option<ShardProcess>>>,
+    workers: Vec<Mutex<Option<WorkerProcess>>>,
     /// One wire-fault harness per shard, shared across that shard's
     /// respawns so each scheduled fault fires at most once for the whole
     /// run. `None` everywhere outside chaos runs.
@@ -628,19 +494,10 @@ struct ClusterShared {
 }
 
 impl ClusterShared {
-    fn take_process(&self, index: usize) -> Option<ShardProcess> {
-        lock(&self.workers[index]).take()
-    }
-
     /// Kills and reaps shard `index`'s process if one is installed,
     /// returning its exit status.
     fn kill_process(&self, index: usize) -> Option<ExitStatus> {
-        self.take_process(index).as_mut().and_then(ShardProcess::kill_and_reap)
-    }
-
-    /// Reaps shard `index`'s process with a voluntary-exit grace.
-    fn reap_process(&self, index: usize) -> Option<ExitStatus> {
-        self.take_process(index).as_mut().and_then(|p| p.reap_with_grace(REAP_GRACE))
+        (&self.workers[index]).kill_and_reap()
     }
 
     /// The durable store segment of shard `index`, when a store
@@ -684,12 +541,7 @@ impl ClusterService {
     /// errors — they retry under backoff like any other shard death.
     pub fn start(chip: ChipSpec, config: ClusterConfig) -> Result<Self, PipelineError> {
         chip.validate().map_err(PipelineError::Chip)?;
-        let program = match &config.sandbox.worker_cmd {
-            Some(path) => path.clone(),
-            None => std::env::current_exe().map_err(|err| PipelineError::WorkerProtocol {
-                detail: format!("cannot locate the current executable: {err}"),
-            })?,
-        };
+        let program = worker_program(&config.sandbox)?;
         let shards = config.shards.max(1);
         let context = crate::context_fingerprint(&chip, &config.thresholds);
         let ring = HashRing::new(shards, config.virtual_nodes);
@@ -707,7 +559,11 @@ impl ClusterService {
             workers: (0..shards).map(|_| Mutex::new(None)).collect(),
             faulty: (0..shards)
                 .map(|index| {
-                    config.wire_faults.as_ref().map(|plan| FaultyTransport::new(plan, index))
+                    config
+                        .sandbox
+                        .wire_faults
+                        .as_ref()
+                        .map(|plan| FaultyTransport::new(plan, index))
                 })
                 .collect(),
             drain_token: CancelToken::new(),
@@ -929,27 +785,10 @@ impl ClusterService {
         let flushed = {
             let mut state = lock(&self.shared.state);
             state.draining = true;
-            let mut flushed = Vec::new();
-            for slot in &mut state.shards {
-                for queue in &mut slot.queues {
-                    flushed.extend(queue.drain(..));
-                }
-            }
-            flushed
+            state.shards.iter_mut().flat_map(ShardSlot::drain_queues).collect()
         };
         self.shared.work_cv.notify_all();
-        let mut flushed_count = 0u64;
-        for job in flushed {
-            // Control pings die silently; only tickets owe an answer.
-            if let Some(ticket) = job.ticket {
-                if ticket.complete(Err(PipelineError::ServiceStopped)) {
-                    flushed_count += 1;
-                }
-            }
-        }
-        if flushed_count > 0 {
-            lock(&self.shared.counters).drain_flushed += flushed_count;
-        }
+        let flushed_count = flush(&self.shared, flushed);
         self.shared.drain_token.cancel();
 
         let mut state = lock(&self.shared.state);
@@ -976,15 +815,9 @@ impl ClusterService {
             self.shared.kill_process(index);
         }
         let mut state = lock(&self.shared.state);
-        let mut bumps = 0u64;
-        for slot in &mut state.shards {
-            if slot.up {
-                bumps += 1;
-            }
-            slot.up = false;
-            slot.pid = None;
+        for index in 0..state.shards.len() {
+            state.mark_down(index);
         }
-        state.generation += bumps;
         drop(state);
         ClusterDrainReport { flushed_queued: flushed_count, quiesced, elapsed: start.elapsed() }
     }
@@ -1007,16 +840,6 @@ enum Next {
     Job(ClusterJob),
     Idle,
     Exit,
-}
-
-/// How one frame exchange with the shard ended.
-enum ReplyEnd {
-    /// A parsed reply arrived; the process is still healthy.
-    Reply(ShardReply),
-    /// The process is dead (killed here or died on its own).
-    Fatal(PipelineError),
-    /// The drain token fired; the process was killed for preemption.
-    Preempted,
 }
 
 /// Ensures the in-flight bookkeeping — and a terminal state for the
@@ -1055,35 +878,10 @@ fn dispatcher_loop(shared: &Arc<ClusterShared>, index: usize) {
             Next::Job(job) => run_one(shared, index, job, &mut events, &mut rng),
             Next::Idle => {}
             Next::Exit => {
-                if let Some(mut process) = shared.take_process(index) {
-                    process.kill_and_reap();
-                }
+                shared.kill_process(index);
                 drop(events);
-                let leftovers = {
-                    let mut state = lock(&shared.state);
-                    if state.shards[index].up {
-                        state.generation += 1;
-                    }
-                    let slot = &mut state.shards[index];
-                    slot.up = false;
-                    slot.pid = None;
-                    let mut leftovers = Vec::new();
-                    for queue in &mut slot.queues {
-                        leftovers.extend(queue.drain(..));
-                    }
-                    leftovers
-                };
-                let mut flushed = 0u64;
-                for job in leftovers {
-                    if let Some(ticket) = job.ticket {
-                        if ticket.complete(Err(PipelineError::ServiceStopped)) {
-                            flushed += 1;
-                        }
-                    }
-                }
-                if flushed > 0 {
-                    lock(&shared.counters).drain_flushed += flushed;
-                }
+                let leftovers = lock(&shared.state).mark_down(index).drain_queues();
+                flush(shared, leftovers);
                 return;
             }
         }
@@ -1099,40 +897,10 @@ fn maintain(
     events: &mut Option<Receiver<ReadEvent>>,
     rng: &mut SplitMix64,
 ) {
-    if let Some(receiver) = events {
-        loop {
-            match receiver.try_recv() {
-                Ok(ReadEvent::Frame(frame)) if frame.kind == FrameKind::Heartbeat => {}
-                Ok(ReadEvent::Frame(_)) => {
-                    let status = shared.kill_process(index);
-                    let err = classify_exit(status, "shard sent a frame while idle");
-                    handle_worker_death(shared, index, events, rng, &err);
-                    break;
-                }
-                Ok(ReadEvent::Malformed(detail)) => {
-                    let status = shared.reap_process(index);
-                    let err = match classify_exit(status, &detail) {
-                        crashed @ PipelineError::WorkerCrashed { .. } => crashed,
-                        _ => PipelineError::WorkerProtocol { detail },
-                    };
-                    handle_worker_death(shared, index, events, rng, &err);
-                    break;
-                }
-                Ok(ReadEvent::Eof) => {
-                    let status = shared.reap_process(index);
-                    let err = classify_exit(status, "shard stream ended while idle");
-                    handle_worker_death(shared, index, events, rng, &err);
-                    break;
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    let status = shared.kill_process(index);
-                    let err = classify_exit(status, "shard reader thread lost the stream");
-                    handle_worker_death(shared, index, events, rng, &err);
-                    break;
-                }
-            }
-        }
+    let died =
+        events.as_ref().and_then(|receiver| idle_check(receiver, &mut &shared.workers[index]));
+    if let Some(cause) = died {
+        handle_worker_death(shared, index, events, rng, &cause);
     }
     if events.is_some() {
         return;
@@ -1158,47 +926,45 @@ fn try_respawn(
     events: &mut Option<Receiver<ReadEvent>>,
     rng: &mut SplitMix64,
 ) {
-    let spawned =
-        spawn_framed_child(&shared.program, CLUSTER_SHARD_ENV, shared.faulty[index].as_ref());
-    let (child, stdin, receiver) = match spawned {
+    let tombstones: Vec<u64> = lock(&shared.state).quarantined.iter().copied().collect();
+    let hello = ShardHello {
+        store_path: shared.shard_store_path(index).map(|p| p.display().to_string()),
+        quarantine: tombstones.clone(),
+        buggy: shared.config.buggy,
+        ..ShardHello::new(shared.chip.clone(), shared.config.thresholds, &shared.config.sandbox)
+    };
+    let started = start_worker(
+        &shared.program,
+        shared.faulty[index].as_ref(),
+        &shared.config.sandbox,
+        hello,
+        Some(&shared.drain_token),
+    );
+    let (process, receiver, recovered) = match started {
         Ok(parts) => parts,
         Err(err) => {
-            eprintln!("[cluster] shard {index} spawn failed: {err}");
+            eprintln!("[cluster] shard {index} bring-up failed: {err}");
             record_respawn_failure(shared, index, rng);
             return;
         }
     };
-    let mut process = ShardProcess { child, stdin };
-    let tombstones: Vec<u64> = {
-        let state = lock(&shared.state);
-        state.quarantined.iter().copied().collect()
-    };
-    match warm_up(shared, index, &mut process, &receiver, &tombstones) {
-        Ok(reply) => {
-            let pid = process.pid();
-            *lock(&shared.workers[index]) = Some(process);
-            *events = Some(receiver);
-            let mut state = lock(&shared.state);
-            state.generation += 1;
-            let slot = &mut state.shards[index];
-            slot.up = true;
-            slot.pid = Some(pid);
-            slot.backoff_until = None;
-            slot.consecutive_failures = 0;
-            slot.counters.respawns += 1;
-            slot.counters.store_recovered = reply.store_recovered;
-            // The warm-up carried the full quarantine snapshot; only
-            // tombstones added after the snapshot stay pending.
-            slot.pending_tombstones.retain(|key| !tombstones.contains(key));
-            drop(state);
-            lock(&shared.counters).respawns += 1;
-        }
-        Err(err) => {
-            process.kill_and_reap();
-            eprintln!("[cluster] shard {index} warm-up failed: {err}");
-            record_respawn_failure(shared, index, rng);
-        }
-    }
+    let pid = process.pid();
+    *lock(&shared.workers[index]) = Some(process);
+    *events = Some(receiver);
+    let mut state = lock(&shared.state);
+    state.generation += 1;
+    let slot = &mut state.shards[index];
+    slot.up = true;
+    slot.pid = Some(pid);
+    slot.backoff_until = None;
+    slot.consecutive_failures = 0;
+    slot.counters.respawns += 1;
+    slot.counters.store_recovered = recovered;
+    // The hello carried the full quarantine snapshot; only tombstones
+    // added after the snapshot stay pending.
+    slot.pending_tombstones.retain(|key| !tombstones.contains(key));
+    drop(state);
+    lock(&shared.counters).respawns += 1;
 }
 
 fn record_respawn_failure(shared: &ClusterShared, index: usize, rng: &mut SplitMix64) {
@@ -1218,96 +984,6 @@ fn backoff_for(attempt: u32, config: &ClusterConfig, rng: &mut SplitMix64) -> Du
     let capped = scaled.min(config.respawn_backoff_max);
     let jitter = 0.75 + 0.5 * rng.unit_f64();
     Duration::from_secs_f64(capped.as_secs_f64() * jitter).min(config.respawn_backoff_max)
-}
-
-/// Sends the hello on a not-yet-installed process and waits for its
-/// acknowledgement under the sandbox limits.
-fn warm_up(
-    shared: &ClusterShared,
-    index: usize,
-    process: &mut ShardProcess,
-    receiver: &Receiver<ReadEvent>,
-    tombstones: &[u64],
-) -> Result<ShardReply, PipelineError> {
-    let hello = ShardRequest::Hello(ShardHello {
-        chip: shared.chip.clone(),
-        thresholds: shared.config.thresholds,
-        heartbeat_ms: shared.config.sandbox.heartbeat_interval.as_millis().max(1) as u64,
-        store_path: shared.shard_store_path(index).map(|p| p.display().to_string()),
-        quarantine: tombstones.to_vec(),
-        buggy: shared.config.buggy,
-    });
-    let payload = serde_json::to_string(&hello).map_err(|err| PipelineError::WorkerProtocol {
-        detail: format!("warm-up frame serialization failed: {err}"),
-    })?;
-    process.stdin.send(FrameKind::Job, payload.as_bytes()).map_err(|err| {
-        PipelineError::WorkerProtocol { detail: format!("warm-up frame write failed: {err}") }
-    })?;
-    let started = Instant::now();
-    let wall_deadline = started + shared.config.sandbox.wall_clock_limit;
-    let mut last_beat = started;
-    let mut heartbeats = 0u64;
-    loop {
-        if shared.drain_token.is_cancelled() {
-            return Err(PipelineError::Runtime(SimError::preempted_at("cluster warm-up")));
-        }
-        let now = Instant::now();
-        if now >= wall_deadline
-            || now.duration_since(last_beat) >= shared.config.sandbox.heartbeat_timeout
-        {
-            return Err(PipelineError::WorkerHung { waited: now - started, heartbeats });
-        }
-        match receiver.recv_timeout(shared.config.sandbox.poll_interval) {
-            Ok(ReadEvent::Frame(frame)) => match frame.kind {
-                FrameKind::Heartbeat => {
-                    heartbeats += 1;
-                    last_beat = Instant::now();
-                }
-                FrameKind::Outcome => {
-                    let reply = parse_reply(&frame.payload)?;
-                    return match reply.outcome {
-                        ShardResult::Control => Ok(reply),
-                        ShardResult::Err { failure } => Err(PipelineError::WorkerReported {
-                            message: failure.message,
-                            transient: failure.transient,
-                        }),
-                        ShardResult::Ok { .. } => Err(PipelineError::WorkerProtocol {
-                            detail: "shard answered its hello with a result".to_string(),
-                        }),
-                    };
-                }
-                FrameKind::Job => {
-                    return Err(PipelineError::WorkerProtocol {
-                        detail: "shard sent a job frame to its parent".to_string(),
-                    });
-                }
-            },
-            Ok(ReadEvent::Malformed(detail)) => {
-                let status = process.reap_with_grace(REAP_GRACE);
-                return Err(match classify_exit(status, &detail) {
-                    crashed @ PipelineError::WorkerCrashed { .. } => crashed,
-                    _ => PipelineError::WorkerProtocol { detail },
-                });
-            }
-            Ok(ReadEvent::Eof) => {
-                let status = process.reap_with_grace(REAP_GRACE);
-                return Err(classify_exit(status, "shard stream ended during warm-up"));
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                let status = process.kill_and_reap();
-                return Err(classify_exit(status, "shard reader thread lost the stream"));
-            }
-        }
-    }
-}
-
-fn parse_reply(payload: &[u8]) -> Result<ShardReply, PipelineError> {
-    std::str::from_utf8(payload).ok().and_then(|text| serde_json::from_str(text).ok()).ok_or_else(
-        || PipelineError::WorkerProtocol {
-            detail: "shard reply payload did not parse".to_string(),
-        },
-    )
 }
 
 /// Blocks for the next job of shard `index`, one tick at a time so the
@@ -1368,154 +1044,120 @@ fn run_one(
         deadline_ms: job
             .deadline
             .map(|d| d.saturating_sub(job.enqueued_at.elapsed()).as_millis().max(1) as u64),
-        budget: shared
-            .config
-            .budget
-            .map(|b| WireBudget { max_events: b.max_events, max_cycles: b.max_cycles }),
+        budget: shared.config.budget.map(Into::into),
         quarantine: sent_tombstones.clone(),
     });
-    let payload = match serde_json::to_string(&request) {
+    let payload = match encode(&request) {
         Ok(payload) => payload,
         Err(err) => {
-            conclude(
-                shared,
-                index,
-                &job,
-                Err(PipelineError::WorkerProtocol {
-                    detail: format!("job frame serialization failed: {err}"),
-                }),
-                false,
-            );
+            conclude(shared, index, &job, Err(err), false);
             return;
         }
     };
 
-    let pid = lock(&shared.state).shards[index].pid;
-    let sent = {
-        let mut worker = lock(&shared.workers[index]);
-        match worker.as_mut() {
-            Some(process) => process
+    let mut pid = 0;
+    let sent = match lock(&shared.workers[index]).as_mut() {
+        Some(process) => {
+            pid = process.pid();
+            process
                 .stdin
                 .send(FrameKind::Job, payload.as_bytes())
-                .map_err(|err| format!("job frame write failed: {err}")),
-            None => Err("no live shard process".to_string()),
+                .map_err(|err| format!("job frame write failed: {err}"))
         }
+        None => Err("no live shard process".to_string()),
     };
-    if let Err(detail) = sent {
-        // The shard died between jobs; classify from its exit status.
-        let status = shared.kill_process(index);
-        let err = classify_exit(status, &detail);
-        handle_worker_death(shared, index, events, rng, &err);
-        fail_over(shared, index, job, &mut guard, err);
-        return;
-    }
-
-    match await_reply(shared, index, events, pid) {
-        ReplyEnd::Reply(reply) => {
-            // The shard acknowledged the tombstones riding this frame.
-            if !sent_tombstones.is_empty() {
-                let mut state = lock(&shared.state);
-                state.shards[index].pending_tombstones.retain(|key| !sent_tombstones.contains(key));
-            }
-            match reply.outcome {
-                ShardResult::Ok { result } => {
-                    if result.fingerprint != job.key {
-                        conclude(
-                            shared,
-                            index,
-                            &job,
-                            Err(PipelineError::WorkerProtocol {
-                                detail: format!(
-                                    "result fingerprint {:#018x} does not match the job's \
-                                     {:#018x}",
-                                    result.fingerprint, job.key
-                                ),
-                            }),
-                            false,
-                        );
-                        return;
-                    }
-                    // Quarantine-during-flight race: if the key was
-                    // tombstoned after dispatch and the shard did not
-                    // have the tombstone, its answer may be stale state
-                    // — recompute instead of serving it.
-                    let (raced, draining) = {
-                        let state = lock(&shared.state);
-                        (!covered && state.quarantined.contains(&job.key), state.draining)
-                    };
-                    if raced {
-                        if draining {
-                            conclude(
-                                shared,
-                                index,
-                                &job,
-                                Err(PipelineError::ServiceStopped),
-                                false,
-                            );
-                        } else {
-                            requeue(shared, index, job, &mut guard);
-                        }
-                        return;
-                    }
-                    conclude(shared, index, &job, Ok(Arc::new(*result)), reply.served_cached);
-                }
-                ShardResult::Err { failure } => {
-                    conclude(
-                        shared,
-                        index,
-                        &job,
-                        Err(PipelineError::WorkerReported {
-                            message: failure.message,
-                            transient: failure.transient,
-                        }),
-                        false,
-                    );
-                }
-                ShardResult::Control => {
-                    if job.ticket.is_none() {
-                        // A quarantine nudge acknowledged; the shard is
-                        // healthy.
-                        let mut state = lock(&shared.state);
-                        state.shards[index].consecutive_failures = 0;
-                    } else {
-                        conclude(
-                            shared,
-                            index,
-                            &job,
-                            Err(PipelineError::WorkerProtocol {
-                                detail: "shard answered a work job with a control ack".to_string(),
-                            }),
-                            false,
-                        );
-                    }
-                }
-            }
+    let replied = match (sent, events.as_ref()) {
+        (Err(detail), _) => {
+            // The shard died between jobs; classify from its exit status.
+            Err(classify_exit(shared.kill_process(index), &detail))
         }
-        ReplyEnd::Fatal(err) => {
-            handle_worker_death(shared, index, events, rng, &err);
-            fail_over(shared, index, job, &mut guard, err);
+        (Ok(()), Some(receiver)) => {
+            let slot = &mut &shared.workers[index];
+            await_reply(&shared.config.sandbox, receiver, slot, pid, Some(&shared.drain_token))
         }
-        ReplyEnd::Preempted => {
+        (Ok(()), None) => Err(PipelineError::WorkerProtocol {
+            detail: "no reader channel for a dispatched job".to_string(),
+        }),
+    };
+    let reply = match replied {
+        Ok(reply) => reply,
+        Err(preempted @ PipelineError::Runtime(SimError::Cancelled { .. })) => {
             // Drain kill: mark the shard down without a backoff penalty
             // — the cluster is stopping, not sick.
             *events = None;
-            let mut state = lock(&shared.state);
-            if state.shards[index].up {
-                state.generation += 1;
-            }
-            let slot = &mut state.shards[index];
-            slot.up = false;
-            slot.pid = None;
-            slot.counters.kills += 1;
-            drop(state);
+            lock(&shared.state).mark_down(index).counters.kills += 1;
             lock(&shared.counters).kills += 1;
             if let Some(ticket) = &job.ticket {
-                if ticket
-                    .complete(Err(PipelineError::Runtime(SimError::preempted_at("cluster shard"))))
-                {
+                if ticket.complete(Err(preempted)) {
                     lock(&shared.counters).failed += 1;
                     lock(&shared.state).shards[index].counters.failed += 1;
                 }
+            }
+            return;
+        }
+        Err(err) => {
+            handle_worker_death(shared, index, events, rng, &err);
+            fail_over(shared, index, job, &mut guard, err);
+            return;
+        }
+    };
+
+    // The shard acknowledged the tombstones riding this frame.
+    if !sent_tombstones.is_empty() {
+        let mut state = lock(&shared.state);
+        state.shards[index].pending_tombstones.retain(|key| !sent_tombstones.contains(key));
+    }
+    match reply.outcome {
+        ShardResult::Ok { result } => {
+            if result.fingerprint != job.key {
+                conclude(
+                    shared,
+                    index,
+                    &job,
+                    Err(PipelineError::WorkerProtocol {
+                        detail: format!(
+                            "result fingerprint {:#018x} does not match the job's {:#018x}",
+                            result.fingerprint, job.key
+                        ),
+                    }),
+                    false,
+                );
+                return;
+            }
+            // Quarantine-during-flight race: if the key was tombstoned
+            // after dispatch and the shard did not have the tombstone,
+            // its answer may be stale state — recompute instead of
+            // serving it.
+            let (raced, draining) = {
+                let state = lock(&shared.state);
+                (!covered && state.quarantined.contains(&job.key), state.draining)
+            };
+            if raced {
+                if draining {
+                    conclude(shared, index, &job, Err(PipelineError::ServiceStopped), false);
+                } else {
+                    requeue(shared, index, job, &mut guard);
+                }
+                return;
+            }
+            conclude(shared, index, &job, Ok(Arc::new(*result)), reply.served_cached);
+        }
+        ShardResult::Err { failure } => conclude(shared, index, &job, Err(failure.into()), false),
+        ShardResult::Control => {
+            if job.ticket.is_none() {
+                // A quarantine nudge acknowledged; the shard is healthy.
+                let mut state = lock(&shared.state);
+                state.shards[index].consecutive_failures = 0;
+            } else {
+                conclude(
+                    shared,
+                    index,
+                    &job,
+                    Err(PipelineError::WorkerProtocol {
+                        detail: "shard answered a work job with a control ack".to_string(),
+                    }),
+                    false,
+                );
             }
         }
     }
@@ -1618,28 +1260,18 @@ fn handle_worker_death(
     rng: &mut SplitMix64,
     cause: &PipelineError,
 ) {
-    if let Some(mut process) = shared.take_process(index) {
-        process.kill_and_reap();
-    }
+    shared.kill_process(index);
     *events = None;
     let mut moved = 0u64;
     let mut flushed = Vec::new();
     {
         let mut state = lock(&shared.state);
-        if state.shards[index].up {
-            state.generation += 1;
-        }
-        let slot = &mut state.shards[index];
-        slot.up = false;
-        slot.pid = None;
+        let slot = state.mark_down(index);
         slot.counters.kills += 1;
         slot.consecutive_failures = slot.consecutive_failures.saturating_add(1);
         let failures = slot.consecutive_failures;
         slot.backoff_until = Some(Instant::now() + backoff_for(failures, &shared.config, rng));
-        let mut drained = Vec::new();
-        for queue in &mut state.shards[index].queues {
-            drained.extend(queue.drain(..));
-        }
+        let drained = slot.drain_queues();
         let draining = state.draining;
         for job in drained {
             if job.ticket.is_none() {
@@ -1657,329 +1289,31 @@ fn handle_worker_death(
         }
     }
     eprintln!("[cluster] shard {index} down: {cause}");
-    let mut flushed_count = 0u64;
-    for job in flushed {
-        if let Some(ticket) = job.ticket {
-            if ticket.complete(Err(PipelineError::ServiceStopped)) {
-                flushed_count += 1;
-            }
-        }
-    }
+    flush(shared, flushed);
     let mut counters = lock(&shared.counters);
     counters.kills += 1;
     counters.failovers += moved;
-    counters.drain_flushed += flushed_count;
     drop(counters);
     shared.work_cv.notify_all();
 }
 
-/// The parent-side monitor for one dispatched frame: heartbeat silence,
-/// wall-clock, and RSS kills on one side; reply frames on the other.
-/// The process handle stays in its shared slot so `kill_shard` can hit
-/// it mid-exchange — exactly the chaos case this tier exists for.
-fn await_reply(
-    shared: &ClusterShared,
-    index: usize,
-    events: &mut Option<Receiver<ReadEvent>>,
-    pid: Option<u32>,
-) -> ReplyEnd {
-    let Some(receiver) = events else {
-        return ReplyEnd::Fatal(PipelineError::WorkerProtocol {
-            detail: "no reader channel for a dispatched job".to_string(),
-        });
-    };
-    let started = Instant::now();
-    let wall_deadline = started + shared.config.sandbox.wall_clock_limit;
-    let mut last_beat = started;
-    let mut heartbeats = 0u64;
-    loop {
-        if shared.drain_token.is_cancelled() {
-            shared.kill_process(index);
-            return ReplyEnd::Preempted;
-        }
-        let now = Instant::now();
-        if now >= wall_deadline
-            || now.duration_since(last_beat) >= shared.config.sandbox.heartbeat_timeout
-        {
-            shared.kill_process(index);
-            return ReplyEnd::Fatal(PipelineError::WorkerHung {
-                waited: now - started,
-                heartbeats,
-            });
-        }
-        if let (Some(limit), Some(pid)) = (shared.config.sandbox.rss_limit_bytes, pid) {
-            if let Some(rss) = rss_bytes(pid) {
-                if rss > limit {
-                    shared.kill_process(index);
-                    return ReplyEnd::Fatal(PipelineError::WorkerOverMemory {
-                        rss_bytes: rss,
-                        budget_bytes: limit,
-                    });
-                }
-            }
-        }
-        match receiver.recv_timeout(shared.config.sandbox.poll_interval) {
-            Ok(ReadEvent::Frame(frame)) => match frame.kind {
-                FrameKind::Heartbeat => {
-                    heartbeats += 1;
-                    last_beat = Instant::now();
-                }
-                FrameKind::Outcome => match parse_reply(&frame.payload) {
-                    Ok(reply) => return ReplyEnd::Reply(reply),
-                    Err(err) => {
-                        shared.kill_process(index);
-                        return ReplyEnd::Fatal(err);
-                    }
-                },
-                FrameKind::Job => {
-                    shared.kill_process(index);
-                    return ReplyEnd::Fatal(PipelineError::WorkerProtocol {
-                        detail: "shard sent a job frame to its parent".to_string(),
-                    });
-                }
-            },
-            Ok(ReadEvent::Malformed(detail)) => {
-                let status = shared.reap_process(index);
-                return ReplyEnd::Fatal(match classify_exit(status, &detail) {
-                    crashed @ PipelineError::WorkerCrashed { .. } => crashed,
-                    _ => PipelineError::WorkerProtocol { detail },
-                });
-            }
-            Ok(ReadEvent::Eof) => {
-                let status = shared.reap_process(index);
-                return ReplyEnd::Fatal(classify_exit(status, "stream ended before a reply frame"));
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                let status = shared.kill_process(index);
-                return ReplyEnd::Fatal(classify_exit(status, "reader thread lost the stream"));
-            }
-        }
+/// Completes the tickets of `jobs` with [`PipelineError::ServiceStopped`]
+/// and books them as drain-flushed; control pings die silently.
+fn flush(shared: &ClusterShared, jobs: Vec<ClusterJob>) -> u64 {
+    let flushed = jobs
+        .into_iter()
+        .filter_map(|job| job.ticket)
+        .filter(|ticket| ticket.complete(Err(PipelineError::ServiceStopped)))
+        .count() as u64;
+    if flushed > 0 {
+        lock(&shared.counters).drain_flushed += flushed;
     }
-}
-
-// ---------------------------------------------------------------------
-// Child side (the shard worker)
-// ---------------------------------------------------------------------
-
-/// A shard's resident serving state, built from its hello: the
-/// pipeline (with its memory cache and optional store) survives across
-/// jobs, which is what makes a shard warm at all.
-struct ResidentPipeline {
-    context: u64,
-    pipeline: AnalysisPipeline,
-    recovered: u64,
-}
-
-/// The cluster shard worker loop: read one [`ShardHello`] and then
-/// [`ShardJob`] frames from stdin, serve them on a resident
-/// [`AnalysisPipeline`] (memory cache, durable store, quarantine
-/// tombstones and all), write [`ShardReply`] frames (and heartbeats,
-/// from a dedicated thread) to stdout. Exits 0 on clean EOF, 3 on a
-/// malformed input stream — which includes a job before the hello and a
-/// job for another context. Never returns.
-///
-/// Reached through [`run_worker_if_requested`](crate::run_worker_if_requested)
-/// when [`CLUSTER_SHARD_ENV`] is set — the same re-exec convention as
-/// the sandbox tier's [`worker_main`](crate::worker_main).
-pub fn shard_worker_main() -> ! {
-    let stdout: Arc<Mutex<std::io::Stdout>> = Arc::new(Mutex::new(std::io::stdout()));
-    let mut stdin = std::io::stdin().lock();
-    let mut resident: Option<ResidentPipeline> = None;
-    loop {
-        let frame = match read_frame(&mut stdin) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => std::process::exit(0),
-            Err(detail) => {
-                eprintln!("[cluster shard] malformed input: {detail}");
-                std::process::exit(3);
-            }
-        };
-        if frame.kind != FrameKind::Job {
-            eprintln!("[cluster shard] unexpected frame kind (want job)");
-            std::process::exit(3);
-        }
-        let request: ShardRequest = match std::str::from_utf8(&frame.payload)
-            .ok()
-            .and_then(|text| serde_json::from_str(text).ok())
-        {
-            Some(request) => request,
-            None => {
-                eprintln!("[cluster shard] job frame did not parse");
-                std::process::exit(3);
-            }
-        };
-        let fault = match &request {
-            ShardRequest::Hello(hello) => {
-                ensure_heartbeats(&stdout, Duration::from_millis(hello.heartbeat_ms.max(1)));
-                None
-            }
-            ShardRequest::Job(job) => job.work.as_ref().and_then(WorkSpec::protocol_fault),
-        };
-        let reply = match serve_shard_request(&mut resident, request) {
-            Ok(reply) => reply,
-            Err(detail) => {
-                eprintln!("[cluster shard] malformed input: {detail}");
-                std::process::exit(3);
-            }
-        };
-        let payload = match serde_json::to_string(&reply) {
-            Ok(payload) => payload,
-            Err(err) => {
-                eprintln!("[cluster shard] reply serialization failed: {err}");
-                std::process::exit(3);
-            }
-        };
-        let mut out = lock(&stdout);
-        // Hostile protocol faults are expressed through the transport
-        // fault vocabulary (tear / garbage), byte-identical to the
-        // historical hand-rolled corruption.
-        match fault.and_then(|mode| {
-            protocol_fault_bytes(
-                mode,
-                FrameKind::Outcome,
-                payload.as_bytes(),
-                b"XXXXthis is definitely not a shard frame",
-            )
-        }) {
-            Some(bytes) => {
-                let _ = out.write_all(&bytes);
-                let _ = out.flush();
-                std::process::exit(0);
-            }
-            None => {
-                if write_frame(&mut *out, FrameKind::Outcome, payload.as_bytes()).is_err() {
-                    // Parent is gone; nothing left to serve.
-                    std::process::exit(0);
-                }
-            }
-        }
-    }
-}
-
-/// Applies one input frame to the shard's state. A hello builds the
-/// resident pipeline; a job is served on it. `Err` is a malformed
-/// stream — a second hello, a job before the hello, or a job for a
-/// context other than the resident one — which the shard answers by
-/// exiting, never by serving.
-fn serve_shard_request(
-    resident: &mut Option<ResidentPipeline>,
-    request: ShardRequest,
-) -> Result<ShardReply, &'static str> {
-    match (request, resident.as_mut()) {
-        (ShardRequest::Hello(hello), None) => Ok(match open_resident(hello) {
-            Ok(built) => {
-                let recovered = built.recovered;
-                *resident = Some(built);
-                ShardReply {
-                    outcome: ShardResult::Control,
-                    served_cached: false,
-                    store_recovered: recovered,
-                }
-            }
-            Err(failure) => ShardReply {
-                outcome: ShardResult::Err { failure },
-                served_cached: false,
-                store_recovered: 0,
-            },
-        }),
-        (ShardRequest::Hello(_), Some(_)) => Err("a second hello"),
-        (ShardRequest::Job(_), None) => Err("a job frame before the hello"),
-        (ShardRequest::Job(job), Some(resident)) if job.context == resident.context => {
-            Ok(serve_shard_job(resident, job))
-        }
-        (ShardRequest::Job(_), Some(_)) => Err("a job frame for a foreign context"),
-    }
-}
-
-/// Builds the resident pipeline a hello describes.
-fn open_resident(hello: ShardHello) -> Result<ResidentPipeline, WireFailure> {
-    let pipeline = AnalysisPipeline::try_new(hello.chip.clone()).map_err(|err| WireFailure {
-        message: PipelineError::Chip(err).to_string(),
-        transient: false,
-    })?;
-    let pipeline = pipeline.with_thresholds(hello.thresholds);
-    let pipeline = match &hello.store_path {
-        // A store the shard cannot open degrades to memory-only
-        // serving, mirroring the resident service's policy.
-        Some(path) => match pipeline.clone().with_store(path) {
-            Ok(with_store) => with_store,
-            Err(err) => {
-                eprintln!(
-                    "[cluster shard] warning: store at {path} not attached ({err}); \
-                     serving memory-only"
-                );
-                pipeline
-            }
-        },
-        None => pipeline,
-    };
-    let pipeline = match hello.buggy {
-        Some(bug) => pipeline.with_buggy_engine(bug),
-        None => pipeline,
-    };
-    let recovered = pipeline.store_stats().map_or(0, |stats| stats.recovered);
-    for key in &hello.quarantine {
-        pipeline.quarantine_key(*key);
-    }
-    Ok(ResidentPipeline {
-        context: crate::context_fingerprint(&hello.chip, &hello.thresholds),
-        pipeline,
-        recovered,
-    })
-}
-
-/// Serves one [`ShardJob`] on the resident pipeline.
-fn serve_shard_job(resident: &mut ResidentPipeline, job: ShardJob) -> ShardReply {
-    for key in &job.quarantine {
-        resident.pipeline.quarantine_key(*key);
-    }
-    let Some(work) = job.work else {
-        return ShardReply {
-            outcome: ShardResult::Control,
-            served_cached: false,
-            store_recovered: resident.recovered,
-        };
-    };
-    let mut policy = RunPolicy::default();
-    if let Some(ms) = job.deadline_ms {
-        policy = policy.with_deadline(Duration::from_millis(ms));
-    }
-    if let Some(budget) = job.budget {
-        policy = policy.with_budget(SimBudget {
-            max_events: budget.max_events,
-            max_cycles: budget.max_cycles,
-        });
-    }
-    // Warm means memory *or* disk: a rewarmed shard answers repeat
-    // traffic from its store, which counts as a disk hit, not a memory
-    // hit.
-    let hits_before = resident.pipeline.cache_stats().hits;
-    let disk_before = resident.pipeline.store_stats().map_or(0, |stats| stats.hits);
-    let op = work.instantiate();
-    let outcome = resident.pipeline.run_supervised(op.as_ref(), &policy, None);
-    let served_cached = resident.pipeline.cache_stats().hits > hits_before
-        || resident.pipeline.store_stats().map_or(0, |stats| stats.hits) > disk_before;
-    match outcome {
-        Ok(result) => ShardReply {
-            outcome: ShardResult::Ok { result: Box::new((*result).clone()) },
-            served_cached,
-            store_recovered: resident.recovered,
-        },
-        Err(err) => ShardReply {
-            outcome: ShardResult::Err {
-                failure: WireFailure { message: err.to_string(), transient: err.is_transient() },
-            },
-            served_cached,
-            store_recovered: resident.recovered,
-        },
-    }
+    flushed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ascend_ops::OpSpec;
 
     #[test]
     fn ring_construction_is_deterministic() {
@@ -2022,93 +1356,6 @@ mod tests {
         let ring = HashRing::new(3, 8);
         assert_eq!(ring.route(42, |_| false), None);
         assert!(ring.route(42, |shard| shard == 1) == Some(1));
-    }
-
-    fn hello() -> ShardHello {
-        ShardHello {
-            chip: ChipSpec::inference(),
-            thresholds: Thresholds::default(),
-            heartbeat_ms: 20,
-            store_path: None,
-            quarantine: vec![1, 2, 3],
-            buggy: None,
-        }
-    }
-
-    fn job(context: u64, spec: OpSpec) -> ShardJob {
-        ShardJob {
-            context,
-            work: Some(WorkSpec::op(spec)),
-            deadline_ms: Some(250),
-            budget: Some(WireBudget { max_events: 10_000, max_cycles: 1e9 }),
-            quarantine: vec![4, 5],
-        }
-    }
-
-    #[test]
-    fn shard_frames_round_trip() {
-        let with_chaos = ShardHello {
-            store_path: Some("shard-0.astr".to_string()),
-            buggy: Some(BuggyEngine::new(7)),
-            ..hello()
-        };
-        let control =
-            ShardJob { work: None, deadline_ms: None, budget: None, ..job(9, OpSpec::gelu(64)) };
-        for request in [
-            ShardRequest::Hello(hello()),
-            ShardRequest::Hello(with_chaos),
-            ShardRequest::Job(job(u64::MAX, OpSpec::matmul(16, 16, 16))),
-            ShardRequest::Job(control),
-        ] {
-            let json = serde_json::to_string(&request).unwrap();
-            let back: ShardRequest = serde_json::from_str(&json).unwrap();
-            assert_eq!(request, back);
-        }
-
-        let reply = ShardReply {
-            outcome: ShardResult::Err {
-                failure: WireFailure { message: "boom".to_string(), transient: true },
-            },
-            served_cached: true,
-            store_recovered: 7,
-        };
-        let json = serde_json::to_string(&reply).unwrap();
-        let back: ShardReply = serde_json::from_str(&json).unwrap();
-        assert_eq!(reply, back);
-    }
-
-    #[test]
-    fn a_job_frame_carries_no_chip() {
-        let hello = ShardRequest::Hello(hello());
-        let job = ShardRequest::Job(job(u64::MAX, OpSpec::add_relu(1 << 14)));
-        let job_bytes = serde_json::to_string(&job).unwrap().len();
-        assert!(job_bytes < 1024, "a job frame payload is {job_bytes} bytes");
-        let hello_bytes = serde_json::to_string(&hello).unwrap().len();
-        assert!(hello_bytes > job_bytes, "the chip rides the hello ({hello_bytes} bytes)");
-    }
-
-    #[test]
-    fn only_a_job_on_the_hello_context_is_served() {
-        let context = crate::context_fingerprint(&ChipSpec::inference(), &Thresholds::default());
-        let work = || ShardRequest::Job(job(context, OpSpec::add_relu(1 << 10)));
-        let foreign = || ShardRequest::Job(job(context ^ 1, OpSpec::add_relu(1 << 10)));
-
-        let mut resident = None;
-        assert!(serve_shard_request(&mut resident, work()).is_err(), "a job before the hello");
-        assert!(resident.is_none());
-
-        let ack = serve_shard_request(&mut resident, ShardRequest::Hello(hello())).unwrap();
-        assert_eq!(ack.outcome, ShardResult::Control);
-        assert_eq!(resident.as_ref().map(|r| r.context), Some(context));
-        assert!(serve_shard_request(&mut resident, foreign()).is_err(), "a foreign context");
-        assert!(
-            serve_shard_request(&mut resident, ShardRequest::Hello(hello())).is_err(),
-            "a second hello"
-        );
-
-        let served = serve_shard_request(&mut resident, work()).unwrap();
-        assert!(matches!(served.outcome, ShardResult::Ok { .. }), "{served:?}");
-        assert!(serve_shard_request(&mut resident, foreign()).is_err(), "a foreign context");
     }
 
     #[test]

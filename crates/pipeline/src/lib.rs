@@ -57,20 +57,18 @@ mod stats;
 mod store;
 mod supervisor;
 pub mod transport;
+mod worker;
 
 pub use audit::{AuditPolicy, AuditStats};
 pub use cluster::{
-    shard_worker_main, ClusterConfig, ClusterCounters, ClusterDrainReport, ClusterHealth,
-    ClusterService, HashRing, ShardCounters, ShardHealth, CLUSTER_SHARD_ENV, DEFAULT_VIRTUAL_NODES,
+    ClusterConfig, ClusterCounters, ClusterDrainReport, ClusterHealth, ClusterService, HashRing,
+    ShardCounters, ShardHealth, DEFAULT_VIRTUAL_NODES,
 };
 pub use digest::result_digest;
 pub use divergence::DivergenceReport;
 pub use error::PipelineError;
 pub use invariants::{InvariantCheck, InvariantReport};
-pub use sandbox::{
-    run_worker_if_requested, worker_main, SandboxConfig, SandboxCounters, SandboxedExecutor,
-    WorkSpec, WORKER_ENV,
-};
+pub use sandbox::{SandboxConfig, SandboxCounters, SandboxedExecutor, WorkSpec};
 pub use service::{
     AnalysisService, DrainReport, HealthSnapshot, Isolation, Priority, Request, ServiceConfig,
     ServiceCounters, Ticket,
@@ -85,6 +83,7 @@ pub use transport::{
     encode_frame, read_frame, write_frame, Frame, FrameKind, FrameTransport, PipeTransport,
     MAX_FRAME_LEN, WIRE_VERSION,
 };
+pub use worker::{run_worker_if_requested, worker_main, WORKER_ENV};
 
 use ascend_arch::{ArchError, ChipSpec};
 use ascend_faults::BuggyEngine;

@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 
 /// Wire-format version stamped into every frame. Readers reject frames
 /// from any other version instead of guessing.
-pub const WIRE_VERSION: u16 = 2;
+pub const WIRE_VERSION: u16 = 3;
 
 /// Frame preamble: identifies a byte stream as sandbox frames at all.
 pub(crate) const MAGIC: [u8; 4] = *b"ASBX";
@@ -51,9 +51,8 @@ pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 /// prefix drives at most one chunk of over-allocation.
 const PAYLOAD_CHUNK: usize = 64 * 1024;
 
-/// What a frame carries. Shared between the sandbox tier and the cluster
-/// tier (`cluster.rs`), whose shard workers speak the same framed
-/// protocol with their own payload schema.
+/// What a frame carries. Sandbox workers and cluster shards are one
+/// child host (`worker.rs`) and speak one payload schema inside it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
     /// Parent → child: one work item.

@@ -1,8 +1,8 @@
 //! Dedicated worker host: a binary whose only job is to serve
-//! supervised child-process work — sandbox jobs (see
-//! `ascend_pipeline::SandboxedExecutor`) or a resident cluster shard
-//! (see `ascend_pipeline::ClusterService`), depending on which marker
-//! env var the parent set.
+//! supervised child-process work. The same child serves a sandbox pool
+//! (see `ascend_pipeline::SandboxedExecutor`) or a resident cluster
+//! shard (see `ascend_pipeline::ClusterService`); the parent's hello
+//! says which pipeline it builds.
 //!
 //! The production binaries self-host workers by re-executing themselves
 //! (their `main` calls `run_worker_if_requested` first thing). Test
@@ -13,10 +13,9 @@
 fn main() {
     ascend_pipeline::run_worker_if_requested();
     eprintln!(
-        "sandbox_worker only serves supervised jobs; run it under a parent supervisor with \
-         {}=1 (sandbox worker) or {}=1 (cluster shard)",
-        ascend_pipeline::WORKER_ENV,
-        ascend_pipeline::CLUSTER_SHARD_ENV
+        "sandbox_worker only serves supervised jobs; run it under a parent supervisor \
+         (a sandbox pool or a cluster) with {}=1",
+        ascend_pipeline::WORKER_ENV
     );
     std::process::exit(2);
 }

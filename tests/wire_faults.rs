@@ -189,8 +189,7 @@ fn cluster_absorbs_wire_faults_with_exactly_once_accounting() {
             shards: 2,
             queue_capacity: 256,
             max_failovers: 4,
-            sandbox: sandbox_config(None),
-            wire_faults: Some(plan),
+            sandbox: sandbox_config(Some(plan)),
             respawn_backoff: Duration::from_millis(10),
             respawn_backoff_max: Duration::from_millis(200),
             ..ClusterConfig::default()
