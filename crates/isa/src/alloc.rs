@@ -32,6 +32,10 @@ pub struct Region {
 }
 
 impl Region {
+    /// Filler for the unused inline slots of a [`Regions`](crate::Regions)
+    /// list; never observable through its slice.
+    pub(crate) const PLACEHOLDER: Region = Region { buffer: Buffer::Gm, offset: 0, len: 0 };
+
     /// Creates a region of `len` bytes at `offset` inside `buffer`.
     ///
     /// # Panics

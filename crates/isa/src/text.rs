@@ -20,7 +20,7 @@
 //!
 //! [`parse_kernel`] and [`kernel_to_text`] round-trip exactly.
 
-use crate::{ComputeInstr, FlagId, Instruction, Kernel, Region, TransferInstr};
+use crate::{ComputeInstr, FlagId, Instruction, Kernel, Region, Regions, TransferInstr};
 use ascend_arch::{Buffer, Component, ComputeUnit, Precision, TransferPath};
 use std::error::Error;
 use std::fmt;
@@ -95,7 +95,7 @@ fn parse_path(s: &str, line: usize) -> Result<TransferPath, ParseError> {
         .ok_or_else(|| err(line, format!("unknown transfer path `{s}`")))
 }
 
-fn parse_regions_list(s: &str, line: usize) -> Result<Vec<Region>, ParseError> {
+fn parse_regions_list<const N: usize>(s: &str, line: usize) -> Result<Regions<N>, ParseError> {
     s.split(',').filter(|p| !p.is_empty()).map(|p| parse_region(p.trim(), line)).collect()
 }
 
@@ -115,8 +115,8 @@ fn parse_compute(head: &str, rest: &[&str], line: usize) -> Result<Instruction, 
         .first()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| err(line, "compute needs an operation count"))?;
-    let mut reads = Vec::new();
-    let mut writes = Vec::new();
+    let mut reads = Regions::new();
+    let mut writes = Regions::new();
     let mut i = 1;
     while i < rest.len() {
         match rest[i] {

@@ -1,6 +1,6 @@
 //! The Add_ReLU fused operator (paper, Section 5.1 / Figures 8–10).
 
-use crate::{tiles, Operator, OptFlags};
+use crate::{ceil_div, tiles, Operator, OptFlags};
 use ascend_arch::{Buffer, ChipSpec, Component, ComputeUnit, Precision, TransferPath};
 use ascend_isa::{BufferAllocator, IsaError, Kernel, KernelBuilder};
 
@@ -84,7 +84,11 @@ impl Operator for AddRelu {
             None
         };
 
-        let mut b = KernelBuilder::new(self.name());
+        // Per tile: the input load, four syncs, two computes, the store,
+        // plus the constant's load (once under MRT).
+        let tile_count = ceil_div(self.elements, self.tile_elements) as usize;
+        let const_loads = if self.flags.has_mrt() { tile_count.min(1) } else { tile_count };
+        let mut b = KernelBuilder::with_capacity(self.name(), tile_count * 8 + const_loads);
         for tile in tiles(self.elements, self.tile_elements) {
             let byte_off = tile.offset * Self::ELEM_BYTES;
             let byte_len = tile.len * Self::ELEM_BYTES;
@@ -104,14 +108,8 @@ impl Operator for AddRelu {
             b.transfer(TransferPath::GmToUb, x, dst_in)?;
             b.sync(Component::MteGm, Component::Vector);
             // (3) Add, then ReLU, on the Vector unit.
-            b.compute(
-                ComputeUnit::Vector,
-                Precision::Fp16,
-                tile.len,
-                vec![dst_in, ub_c],
-                vec![dst_out],
-            );
-            b.compute(ComputeUnit::Vector, Precision::Fp16, tile.len, vec![dst_out], vec![dst_out]);
+            b.compute(ComputeUnit::Vector, Precision::Fp16, tile.len, [dst_in, ub_c], [dst_out]);
+            b.compute(ComputeUnit::Vector, Precision::Fp16, tile.len, [dst_out], [dst_out]);
             b.sync(Component::Vector, Component::MteUb);
             // (4) Write the tile back.
             b.transfer(TransferPath::UbToGm, dst_out, y)?;

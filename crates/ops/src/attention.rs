@@ -100,8 +100,8 @@ impl Attention {
                     ComputeUnit::Cube,
                     Precision::Fp16,
                     2 * bq * bk * self.dim,
-                    vec![l0a.slice(0, q_tile), l0b],
-                    vec![l0c.slice(0, s_tile)],
+                    [l0a.slice(0, q_tile), l0b],
+                    [l0c.slice(0, s_tile)],
                 );
                 b.sync(Component::Cube, Component::Vector);
                 // Online softmax on the score tile (never leaves UB).
@@ -109,8 +109,8 @@ impl Attention {
                     ComputeUnit::Vector,
                     Precision::Fp16,
                     6 * bq * bk,
-                    vec![l0c.slice(0, s_tile)],
-                    vec![ub_s.slice(0, s_tile)],
+                    [l0c.slice(0, s_tile)],
+                    [ub_s.slice(0, s_tile)],
                 );
                 b.sync(Component::Vector, Component::Cube);
                 // O += P V for this chunk.
@@ -118,8 +118,8 @@ impl Attention {
                     ComputeUnit::Cube,
                     Precision::Fp16,
                     2 * bq * bk * self.dim,
-                    vec![ub_s.slice(0, s_tile), l0b],
-                    vec![l0c.slice(0, q_tile.min(s_tile))],
+                    [ub_s.slice(0, s_tile), l0b],
+                    [l0c.slice(0, q_tile.min(s_tile))],
                 );
             }
             b.sync(Component::Cube, Component::Vector);
@@ -127,8 +127,8 @@ impl Attention {
                 ComputeUnit::Vector,
                 Precision::Fp16,
                 bq * self.dim,
-                vec![l0c.slice(0, q_tile.min(s_tile))],
-                vec![ub_o.slice(0, q_tile)],
+                [l0c.slice(0, q_tile.min(s_tile))],
+                [ub_o.slice(0, q_tile)],
             );
             b.sync(Component::Vector, Component::MteUb);
             b.transfer(
@@ -182,16 +182,16 @@ impl Attention {
                     ComputeUnit::Cube,
                     Precision::Fp16,
                     2 * bq * bk * self.dim,
-                    vec![l0a.slice(0, q_tile), l0b],
-                    vec![l0c.slice(0, s_tile)],
+                    [l0a.slice(0, q_tile), l0b],
+                    [l0c.slice(0, s_tile)],
                 );
                 b.sync(Component::Cube, Component::Vector);
                 b.compute(
                     ComputeUnit::Vector,
                     Precision::Fp16,
                     bq * bk,
-                    vec![l0c.slice(0, s_tile)],
-                    vec![ub.slice(0, s_tile)],
+                    [l0c.slice(0, s_tile)],
+                    [ub.slice(0, s_tile)],
                 );
                 b.sync(Component::Vector, Component::MteUb);
                 let s_off = (qi * k_chunks + ki) * s_tile;
@@ -208,13 +208,7 @@ impl Attention {
             let staged = ub_soft.slice(0, t.len);
             b.transfer(TransferPath::GmToUb, src, staged)?;
             b.sync(Component::MteGm, Component::Vector);
-            b.compute(
-                ComputeUnit::Vector,
-                Precision::Fp16,
-                6 * t.len / e,
-                vec![staged],
-                vec![staged],
-            );
+            b.compute(ComputeUnit::Vector, Precision::Fp16, 6 * t.len / e, [staged], [staged]);
             b.sync(Component::Vector, Component::MteUb);
             b.transfer(TransferPath::UbToGm, staged, dst)?;
         }
@@ -234,8 +228,8 @@ impl Attention {
                     ComputeUnit::Cube,
                     Precision::Fp16,
                     2 * bq * bk * self.dim,
-                    vec![l0a.slice(0, s_tile.min(l0a.len())), l0b],
-                    vec![l0c.slice(0, q_tile.min(s_tile))],
+                    [l0a.slice(0, s_tile.min(l0a.len())), l0b],
+                    [l0c.slice(0, q_tile.min(s_tile))],
                 );
             }
             b.sync(Component::Cube, Component::Vector);
@@ -243,8 +237,8 @@ impl Attention {
                 ComputeUnit::Vector,
                 Precision::Fp16,
                 bq * self.dim,
-                vec![l0c.slice(0, q_tile.min(s_tile))],
-                vec![ub_o.slice(0, q_tile)],
+                [l0c.slice(0, q_tile.min(s_tile))],
+                [ub_o.slice(0, q_tile)],
             );
             b.sync(Component::Vector, Component::MteUb);
             b.transfer(

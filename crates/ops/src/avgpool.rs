@@ -104,7 +104,7 @@ impl Operator for AvgPool {
             if self.flags.has_aip() {
                 // repeat = window: one instruction covers the whole
                 // accumulation.
-                b.compute(ComputeUnit::Vector, Precision::Fp16, total_ops, vec![src], vec![acc]);
+                b.compute(ComputeUnit::Vector, Precision::Fp16, total_ops, [src], [acc]);
             } else {
                 // repeat = 1: one tiny instruction per window tap, each
                 // paying the full issue overhead (the paper's 98 loops).
@@ -112,12 +112,12 @@ impl Operator for AvgPool {
                 let mut remaining = total_ops;
                 while remaining > 0 {
                     let ops = per_loop.min(remaining);
-                    b.compute(ComputeUnit::Vector, Precision::Fp16, ops, vec![src], vec![acc]);
+                    b.compute(ComputeUnit::Vector, Precision::Fp16, ops, [src], [acc]);
                     remaining -= ops;
                 }
             }
             // Final 1/k^2 scale.
-            b.compute(ComputeUnit::Vector, Precision::Fp16, tile.len, vec![acc], vec![dst]);
+            b.compute(ComputeUnit::Vector, Precision::Fp16, tile.len, [acc], [dst]);
             b.sync(Component::Vector, Component::MteUb);
             b.transfer(TransferPath::UbToGm, dst, gm_out.slice(out_off, out_len))?;
         }

@@ -129,8 +129,8 @@ impl Operator for Conv2d {
                 ComputeUnit::Cube,
                 Precision::Fp16,
                 2 * tile.len * self.contraction,
-                vec![l0a_r, l0b],
-                vec![l0c_r.slice(0, out_len)],
+                [l0a_r, l0b],
+                [l0c_r.slice(0, out_len)],
             );
             b.sync(Component::Cube, Component::Vector);
             let dst = ub_out[i % ub_out.len()].slice(0, out_len);
@@ -139,8 +139,8 @@ impl Operator for Conv2d {
                 ComputeUnit::Vector,
                 Precision::Fp16,
                 2 * tile.len,
-                vec![l0c_r.slice(0, out_len)],
-                vec![dst],
+                [l0c_r.slice(0, out_len)],
+                [dst],
             );
             b.sync(Component::Vector, Component::MteUb);
             b.transfer(

@@ -134,7 +134,7 @@ impl Operator for Depthwise {
             // MTE-GM dispatch in the original code.
             let emit_scalar_control = |b: &mut KernelBuilder| {
                 for _ in 0..12 {
-                    b.compute(ComputeUnit::Scalar, Precision::Int32, 16, vec![], vec![ub_idx]);
+                    b.compute(ComputeUnit::Scalar, Precision::Int32, 16, [], [ub_idx]);
                 }
             };
             if self.flags.has_ais() {
@@ -160,8 +160,8 @@ impl Operator for Depthwise {
                 ComputeUnit::Cube,
                 Precision::Fp16,
                 tile.len * self.taps * 2,
-                vec![l0a.slice(0, in_tile_bytes), l0b],
-                vec![l0c.slice(0, out_len)],
+                [l0a.slice(0, in_tile_bytes), l0b],
+                [l0c.slice(0, out_len)],
             );
             b.sync(Component::Cube, Component::Vector);
             // Vector drains L0C into the UB staging area.
@@ -170,8 +170,8 @@ impl Operator for Depthwise {
                 ComputeUnit::Vector,
                 Precision::Fp16,
                 tile.len,
-                vec![l0c.slice(0, out_len)],
-                vec![ub_dst],
+                [l0c.slice(0, out_len)],
+                [ub_dst],
             );
             merged_bytes += out_len;
             let flush = (i as u64 + 1).is_multiple_of(merge) || i + 1 == n_tiles;

@@ -95,8 +95,8 @@ impl Operator for Dropout {
                 ComputeUnit::Vector,
                 Precision::Fp16,
                 tile.len * ops_per_element,
-                vec![src, mask_dst],
-                vec![dst],
+                [src, mask_dst],
+                [dst],
             );
             b.sync(Component::Vector, Component::MteUb);
             b.transfer(TransferPath::UbToGm, dst, gm_out.slice(off, len))?;

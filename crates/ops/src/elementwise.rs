@@ -4,9 +4,9 @@
 //! insufficient parallelism (Section 6.2.1); their shared structure is
 //! load → vector compute → store per tile.
 
-use crate::{tiles, Operator, OptFlags};
+use crate::{ceil_div, tiles, Operator, OptFlags};
 use ascend_arch::{Buffer, ChipSpec, Component, ComputeUnit, Precision, TransferPath};
-use ascend_isa::{BufferAllocator, IsaError, Kernel, KernelBuilder, Region};
+use ascend_isa::{BufferAllocator, IsaError, Kernel, KernelBuilder, Region, Regions, INLINE_READS};
 use serde::{Deserialize, Serialize};
 
 /// Which element-wise operator to generate.
@@ -134,12 +134,9 @@ impl Operator for Elementwise {
         let gm_out = alloc.alloc(Buffer::Gm, self.elements * Self::ELEM_BYTES)?;
         // Input staging: one region per input; doubled under ping-pong.
         let buffers_per_input = if self.flags.has_pp() { 2 } else { 1 };
-        let ub_in: Vec<Vec<Region>> = (0..inputs)
-            .map(|_| {
-                (0..buffers_per_input)
-                    .map(|_| alloc.alloc(Buffer::Ub, tile_bytes))
-                    .collect::<Result<Vec<_>, _>>()
-            })
+        // Input `j`'s buffer for stage `s` is `ub_in[j * buffers_per_input + s]`.
+        let ub_in: Vec<Region> = (0..inputs * buffers_per_input as u64)
+            .map(|_| alloc.alloc(Buffer::Ub, tile_bytes))
             .collect::<Result<_, _>>()?;
         let ub_res = if self.flags.has_rsd() {
             Some(alloc.alloc_ping_pong(Buffer::Ub, tile_bytes)?)
@@ -147,14 +144,19 @@ impl Operator for Elementwise {
             None
         };
 
-        let mut b = KernelBuilder::new(self.name());
+        // Per tile: one load per input, two syncs, the compute, the store.
+        let per_tile = inputs as usize + 6;
+        let tile_count = ceil_div(self.elements, self.tile_elements) as usize;
+        let mut b = KernelBuilder::with_capacity(self.name(), tile_count * per_tile);
         for tile in tiles(self.elements, self.tile_elements) {
             let byte_off = tile.offset * Self::ELEM_BYTES;
             let byte_len = tile.len * Self::ELEM_BYTES;
             let parity = (tile.index % 2) as usize;
             let stage = parity % buffers_per_input;
-            let in_regions: Vec<Region> =
-                (0..inputs as usize).map(|j| ub_in[j][stage].slice(0, byte_len)).collect();
+            // Inline for up to two inputs, like the instruction's own list.
+            let in_regions: Regions<INLINE_READS> = (0..inputs as usize)
+                .map(|j| ub_in[j * buffers_per_input + stage].slice(0, byte_len))
+                .collect();
             let out_region = match &ub_res {
                 Some(pair) => pair[parity].slice(0, byte_len),
                 None => in_regions[0],
@@ -167,8 +169,8 @@ impl Operator for Elementwise {
                 ComputeUnit::Vector,
                 self.precision,
                 tile.len * self.kind.ops_per_element(),
-                in_regions.clone(),
-                vec![out_region],
+                in_regions,
+                [out_region],
             );
             b.sync(Component::Vector, Component::MteUb);
             b.transfer(TransferPath::UbToGm, out_region, gm_out.slice(byte_off, byte_len))?;

@@ -148,7 +148,7 @@ impl Operator for ReduceSum {
             let src = ub_in[(tile.index as usize) % ub_in.len()].slice(0, len);
             b.transfer(TransferPath::GmToUb, gm_in.slice(off, len), src)?;
             b.sync(Component::MteGm, Component::Vector);
-            b.compute(ComputeUnit::Vector, Precision::Fp16, tile.len, vec![src], vec![ub_acc]);
+            b.compute(ComputeUnit::Vector, Precision::Fp16, tile.len, [src], [ub_acc]);
         }
         // One small final write-out.
         b.sync(Component::Vector, Component::MteUb);

@@ -74,15 +74,15 @@ impl Operator for TransData {
             let index_ops = (tile.len * Self::SCALAR_OPS_PER_ELT_X16).div_ceil(16);
             if self.flags.has_ct() {
                 // Vectorized index computation.
-                b.compute(ComputeUnit::Vector, Precision::Int32, index_ops, vec![], vec![ub_idx]);
+                b.compute(ComputeUnit::Vector, Precision::Int32, index_ops, [], [ub_idx]);
             } else {
                 // Serial scalar address arithmetic.
-                b.compute(ComputeUnit::Scalar, Precision::Int32, index_ops, vec![], vec![ub_idx]);
+                b.compute(ComputeUnit::Scalar, Precision::Int32, index_ops, [], [ub_idx]);
                 b.sync(Component::Scalar, Component::Vector);
             }
             b.sync(Component::MteGm, Component::Vector);
             // The permuting copy itself.
-            b.compute(ComputeUnit::Vector, Precision::Fp16, tile.len, vec![src, ub_idx], vec![dst]);
+            b.compute(ComputeUnit::Vector, Precision::Fp16, tile.len, [src, ub_idx], [dst]);
             b.sync(Component::Vector, Component::MteUb);
             b.transfer(TransferPath::UbToGm, dst, gm_out.slice(off, len))?;
         }
@@ -157,7 +157,7 @@ impl Operator for Cast {
                 ub_out[(tile.index as usize) % ub_out.len()].slice(0, tile.len * Self::OUT_BYTES);
             b.transfer(TransferPath::GmToUb, src_gm, src)?;
             b.sync(Component::MteGm, Component::Vector);
-            b.compute(ComputeUnit::Vector, Precision::Fp32, tile.len, vec![src], vec![dst]);
+            b.compute(ComputeUnit::Vector, Precision::Fp32, tile.len, [src], [dst]);
             b.sync(Component::Vector, Component::MteUb);
             b.transfer(TransferPath::UbToGm, dst, dst_gm)?;
         }

@@ -86,8 +86,8 @@ impl Operator for Gelu {
                 ComputeUnit::Vector,
                 Precision::Fp16,
                 tile.len * self.ops_per_element(),
-                vec![src],
-                vec![dst],
+                [src],
+                [dst],
             );
             b.sync(Component::Vector, Component::MteUb);
             b.transfer(TransferPath::UbToGm, dst, gm_out.slice(off, len))?;

@@ -142,8 +142,8 @@ fn emit_gemm(
                     ComputeUnit::Cube,
                     cfg.precision,
                     2 * bm * bn * kc,
-                    vec![l0a.slice(0, fast.len()), l0b.slice(0, slow.len())],
-                    vec![l0c.slice(0, c_len)],
+                    [l0a.slice(0, fast.len()), l0b.slice(0, slow.len())],
+                    [l0c.slice(0, c_len)],
                 );
             }
             // Drain L0C through the Vector unit into UB.
@@ -153,16 +153,16 @@ fn emit_gemm(
                 ComputeUnit::Vector,
                 Precision::Fp16,
                 bm * bn,
-                vec![l0c.slice(0, c_len)],
-                vec![ub_dst],
+                [l0c.slice(0, c_len)],
+                [ub_dst],
             );
             if let Drain::FusedAdd(bias) = drain {
                 b.compute(
                     ComputeUnit::Vector,
                     Precision::Fp16,
                     bm * bn,
-                    vec![ub_dst, bias.slice(0, (bn * cfg.elem_bytes).min(bias.len()))],
-                    vec![ub_dst],
+                    [ub_dst, bias.slice(0, (bn * cfg.elem_bytes).min(bias.len()))],
+                    [ub_dst],
                 );
             }
             merged_bytes += c_len;
@@ -336,8 +336,8 @@ impl Operator for MatMulAdd {
                     ComputeUnit::Vector,
                     Precision::Fp16,
                     t.len,
-                    vec![staging, ub_bias],
-                    vec![staging],
+                    [staging, ub_bias],
+                    [staging],
                 );
                 b.sync(Component::Vector, Component::MteUb);
                 b.transfer(TransferPath::UbToGm, staging, gm_y.slice(off, len))?;

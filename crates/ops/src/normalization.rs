@@ -71,21 +71,15 @@ impl Operator for LayerNorm {
             b.transfer(TransferPath::GmToUb, gm_in.slice(off, len), src)?;
             b.sync(Component::MteGm, Component::Vector);
             // mean (1 op/elt), variance (2), normalize (2).
-            b.compute(ComputeUnit::Vector, Precision::Fp16, tile.len, vec![src], vec![ub_stats]);
+            b.compute(ComputeUnit::Vector, Precision::Fp16, tile.len, [src], [ub_stats]);
             b.compute(
                 ComputeUnit::Vector,
                 Precision::Fp16,
                 2 * tile.len,
-                vec![src, ub_stats],
-                vec![ub_stats],
+                [src, ub_stats],
+                [ub_stats],
             );
-            b.compute(
-                ComputeUnit::Vector,
-                Precision::Fp16,
-                2 * tile.len,
-                vec![src, ub_stats],
-                vec![dst],
-            );
+            b.compute(ComputeUnit::Vector, Precision::Fp16, 2 * tile.len, [src, ub_stats], [dst]);
             b.sync(Component::Vector, Component::MteUb);
             b.transfer(TransferPath::UbToGm, dst, gm_out.slice(off, len))?;
         }
@@ -152,21 +146,9 @@ impl Operator for Softmax {
             let src = staged[(tile.index as usize) % staged.len()].slice(0, len);
             b.transfer(TransferPath::GmToUb, gm_in.slice(off, len), src)?;
             b.sync(Component::MteGm, Component::Vector);
-            b.compute(ComputeUnit::Vector, Precision::Fp16, tile.len, vec![src], vec![ub_stats]);
-            b.compute(
-                ComputeUnit::Vector,
-                Precision::Fp16,
-                3 * tile.len,
-                vec![src, ub_stats],
-                vec![src],
-            );
-            b.compute(
-                ComputeUnit::Vector,
-                Precision::Fp16,
-                2 * tile.len,
-                vec![src, ub_stats],
-                vec![src],
-            );
+            b.compute(ComputeUnit::Vector, Precision::Fp16, tile.len, [src], [ub_stats]);
+            b.compute(ComputeUnit::Vector, Precision::Fp16, 3 * tile.len, [src, ub_stats], [src]);
+            b.compute(ComputeUnit::Vector, Precision::Fp16, 2 * tile.len, [src, ub_stats], [src]);
             b.sync(Component::Vector, Component::MteUb);
             b.transfer(TransferPath::UbToGm, src, gm_out.slice(off, len))?;
         }

@@ -82,8 +82,8 @@ use crate::sandbox::{SandboxConfig, WorkSpec};
 use crate::service::{Priority, Ticket, TicketShared};
 use crate::transport::{FrameKind, FrameTransport};
 use crate::worker::{
-    await_reply, classify_exit, encode, idle_check, start_worker, worker_program, ReadEvent, Reap,
-    ShardHello, ShardJob, ShardRequest, ShardResult, WorkerProcess,
+    await_reply, classify_exit, encode, idle_check, reply_verdict, start_worker, worker_program,
+    ReadEvent, Reap, ReplyVerdict, ShardHello, ShardJob, ShardRequest, WorkerProcess,
 };
 use crate::{lock, PipelineError, PipelineResult};
 use ascend_arch::ChipSpec;
@@ -1107,23 +1107,8 @@ fn run_one(
         let mut state = lock(&shared.state);
         state.shards[index].pending_tombstones.retain(|key| !sent_tombstones.contains(key));
     }
-    match reply.outcome {
-        ShardResult::Ok { result } => {
-            if result.fingerprint != job.key {
-                conclude(
-                    shared,
-                    index,
-                    &job,
-                    Err(PipelineError::WorkerProtocol {
-                        detail: format!(
-                            "result fingerprint {:#018x} does not match the job's {:#018x}",
-                            result.fingerprint, job.key
-                        ),
-                    }),
-                    false,
-                );
-                return;
-            }
+    match reply_verdict(reply.outcome, job.key, job.ticket.is_some()) {
+        ReplyVerdict::Serve(Some(result)) => {
             // Quarantine-during-flight race: if the key was tombstoned
             // after dispatch and the shard did not have the tombstone,
             // its answer may be stale state — recompute instead of
@@ -1142,23 +1127,16 @@ fn run_one(
             }
             conclude(shared, index, &job, Ok(Arc::new(*result)), reply.served_cached);
         }
-        ShardResult::Err { failure } => conclude(shared, index, &job, Err(failure.into()), false),
-        ShardResult::Control => {
-            if job.ticket.is_none() {
-                // A quarantine nudge acknowledged; the shard is healthy.
-                let mut state = lock(&shared.state);
-                state.shards[index].consecutive_failures = 0;
-            } else {
-                conclude(
-                    shared,
-                    index,
-                    &job,
-                    Err(PipelineError::WorkerProtocol {
-                        detail: "shard answered a work job with a control ack".to_string(),
-                    }),
-                    false,
-                );
-            }
+        ReplyVerdict::Serve(None) => {
+            // A quarantine nudge acknowledged; the shard is healthy.
+            lock(&shared.state).shards[index].consecutive_failures = 0;
+        }
+        ReplyVerdict::Fail(err) => conclude(shared, index, &job, Err(err), false),
+        ReplyVerdict::Retire(err) => {
+            // The shard's stream no longer lines up with its jobs: retire
+            // it like a dead one, and fail the job over.
+            handle_worker_death(shared, index, events, rng, &err);
+            fail_over(shared, index, job, &mut guard, err);
         }
     }
 }

@@ -44,8 +44,8 @@
 use crate::supervisor::RunPolicy;
 use crate::transport::{FrameKind, FrameTransport};
 use crate::worker::{
-    await_reply, classify_exit, encode, idle_check, start_worker, worker_program, ReadEvent, Reap,
-    ShardHello, ShardJob, ShardRequest, ShardResult, WorkerProcess,
+    await_reply, classify_exit, encode, idle_check, reply_verdict, start_worker, worker_program,
+    ReadEvent, Reap, ReplyVerdict, ShardHello, ShardJob, ShardRequest, WorkerProcess,
 };
 use crate::{lock, AnalysisPipeline, PipelineError, PipelineResult};
 use ascend_faults::{FaultyTransport, HostileMode, HostileOp};
@@ -347,22 +347,11 @@ impl SandboxedExecutor {
         let reply = await_reply(&self.config, &worker.events, &mut worker.process, pid, cancel)?;
         // A worker whose reply breaks protocol is dropped (killed), never
         // pooled: its stream can no longer be trusted to line up.
-        let outcome = match reply.outcome {
-            ShardResult::Ok { result } if result.fingerprint == key => Ok(*result),
-            ShardResult::Err { failure } => Err(failure.into()),
-            ShardResult::Ok { result } => {
-                return Err(PipelineError::WorkerProtocol {
-                    detail: format!(
-                        "result fingerprint {:#018x} does not match the job's {key:#018x}",
-                        result.fingerprint
-                    ),
-                })
-            }
-            ShardResult::Control => {
-                return Err(PipelineError::WorkerProtocol {
-                    detail: "worker answered a work job with a control ack".to_string(),
-                })
-            }
+        let outcome = match reply_verdict(reply.outcome, key, true) {
+            ReplyVerdict::Serve(Some(result)) => Ok(*result),
+            ReplyVerdict::Fail(err) => Err(err),
+            ReplyVerdict::Retire(err) => return Err(err),
+            ReplyVerdict::Serve(None) => unreachable!("a work job is never served an ack"),
         };
         worker.jobs_done += 1;
         if worker.jobs_done >= self.config.recycle_after {

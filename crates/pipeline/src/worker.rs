@@ -419,6 +419,49 @@ pub(crate) fn await_reply(
     }
 }
 
+/// What the parent does with a parsed reply to one job.
+#[derive(Debug)]
+pub(crate) enum ReplyVerdict {
+    /// The reply answers the job it was sent for: serve the result (or,
+    /// for a control ping, `None`: the child acknowledged) and keep the
+    /// child.
+    Serve(Option<Box<PipelineResult>>),
+    /// The child's pipeline failed the job and said so in step: report
+    /// the failure and keep the child.
+    Fail(PipelineError),
+    /// The reply does not answer the job it was sent for: a result for
+    /// another key, a control ack to work, or a result or failure for a
+    /// control ping. The child's stream no longer lines up with the
+    /// parent's, so whatever it says next could answer the wrong job:
+    /// kill it and never reuse it, as for any other worker death.
+    Retire(PipelineError),
+}
+
+/// The one reply check both tiers apply: the sandbox pool and the
+/// cluster shards must not disagree about which replies a child may be
+/// kept after. `key` is the job's cache key; `has_ticket` is false only
+/// for the cluster's control pings (jobs without work).
+pub(crate) fn reply_verdict(outcome: ShardResult, key: u64, has_ticket: bool) -> ReplyVerdict {
+    let protocol = |detail: String| ReplyVerdict::Retire(PipelineError::WorkerProtocol { detail });
+    match (outcome, has_ticket) {
+        (ShardResult::Ok { result }, true) if result.fingerprint == key => {
+            ReplyVerdict::Serve(Some(result))
+        }
+        (ShardResult::Ok { result }, true) => protocol(format!(
+            "result fingerprint {:#018x} does not match the job's {key:#018x}",
+            result.fingerprint
+        )),
+        (ShardResult::Err { failure }, true) => ReplyVerdict::Fail(failure.into()),
+        (ShardResult::Control, true) => {
+            protocol("worker answered a work job with a control ack".to_string())
+        }
+        (ShardResult::Control, false) => ReplyVerdict::Serve(None),
+        (ShardResult::Ok { .. } | ShardResult::Err { .. }, false) => {
+            protocol("worker answered a control ping with a job outcome".to_string())
+        }
+    }
+}
+
 /// Drains an idle child's channel. Heartbeats are discarded; a stream
 /// end or a frame the parent did not ask for means the child is gone:
 /// it is reaped through `child` and the verdict names the cause.
@@ -894,6 +937,43 @@ mod tests {
                 };
                 assert!(expected(&verdict), "{event:?}, {status:?}, idle {idle}: {verdict:?}");
             }
+        }
+    }
+
+    #[test]
+    fn reply_verdict_covers_every_row() {
+        let result = AnalysisPipeline::new(ChipSpec::inference())
+            .run(OpSpec::add_relu(1 << 10).instantiate().as_ref())
+            .expect("add_relu runs");
+        let key = result.fingerprint;
+        let ok = || ShardResult::Ok { result: Box::new((*result).clone()) };
+        let failed = || ShardResult::Err {
+            failure: WireFailure { message: "budget exceeded".to_string(), transient: true },
+        };
+        // Each verdict, with the payload it must carry.
+        let kind = |verdict: &ReplyVerdict| match verdict {
+            ReplyVerdict::Serve(Some(served)) if **served == *result => "serve",
+            ReplyVerdict::Serve(None) => "ack",
+            ReplyVerdict::Fail(PipelineError::WorkerReported { message, transient: true })
+                if message == "budget exceeded" =>
+            {
+                "fail"
+            }
+            ReplyVerdict::Retire(PipelineError::WorkerProtocol { .. }) => "retire",
+            _ => "malformed verdict",
+        };
+        let rows = [
+            ("result for the job's key", ok(), key, true, "serve"),
+            ("result for another key", ok(), key ^ 1, true, "retire"),
+            ("failure reported for a job", failed(), key, true, "fail"),
+            ("control ack to a job", ShardResult::Control, key, true, "retire"),
+            ("control ack to a ping", ShardResult::Control, key, false, "ack"),
+            ("result for a ping", ok(), key, false, "retire"),
+            ("failure for a ping", failed(), key, false, "retire"),
+        ];
+        for (name, outcome, job_key, has_ticket, expected) in rows {
+            let verdict = reply_verdict(outcome, job_key, has_ticket);
+            assert_eq!(kind(&verdict), expected, "{name}: got {verdict:?}");
         }
     }
 

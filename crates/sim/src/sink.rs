@@ -19,7 +19,7 @@
 //! accumulations bit-identical to the same sums taken over a sorted
 //! [`Trace`](crate::Trace).
 
-use crate::trace::InstrRecord;
+use crate::trace::{InstrRecord, StallCause};
 use ascend_arch::{Component, ComputeUnit, Precision, TransferPath};
 use ascend_isa::{Instruction, Kernel};
 use std::collections::BTreeMap;
@@ -74,10 +74,29 @@ impl TraceSink for NullSink {
 
 /// Materializes the full per-instruction trace, bit-identical to the
 /// pre-sink engine's output: records indexed by program order.
+///
+/// Records are written straight into the vector that becomes the
+/// [`Trace`](crate::Trace): [`begin`](TraceSink::begin) sizes it to the
+/// kernel with placeholder records, each emit overwrites its program-order
+/// slot, and [`into_trace`](TraceCollector::into_trace) moves it out. One
+/// allocation per run, no second collection pass.
 #[derive(Debug, Clone, Default)]
 pub struct TraceCollector {
-    slots: Vec<Option<InstrRecord>>,
+    /// Slot `i` holds instruction `i`'s record, or [`UNFILLED`] if it has
+    /// not started.
+    records: Vec<InstrRecord>,
 }
+
+/// Placeholder for a slot whose instruction never started. Its `index`
+/// is one no real record carries.
+const UNFILLED: InstrRecord = InstrRecord {
+    index: usize::MAX,
+    queue: None,
+    available_at: 0.0,
+    start: 0.0,
+    end: 0.0,
+    stall: StallCause::None,
+};
 
 impl TraceCollector {
     /// An empty collector (sized at [`begin`](TraceSink::begin)).
@@ -91,19 +110,20 @@ impl TraceCollector {
     /// an error) are skipped, matching the seed engine's flatten.
     #[must_use]
     pub fn into_trace(self, kernel_name: &str, total_cycles: f64) -> crate::Trace {
-        let records: Vec<InstrRecord> = self.slots.into_iter().flatten().collect();
+        let mut records = self.records;
+        records.retain(|record| record.index != UNFILLED.index);
         crate::Trace::from_parts(kernel_name, records, total_cycles)
     }
 }
 
 impl TraceSink for TraceCollector {
     fn begin(&mut self, kernel: &Kernel) {
-        self.slots.clear();
-        self.slots.resize(kernel.len(), None);
+        self.records.clear();
+        self.records.resize(kernel.len(), UNFILLED);
     }
 
     fn emit(&mut self, _instr: &Instruction, record: InstrRecord) {
-        self.slots[record.index] = Some(record);
+        self.records[record.index] = record;
     }
 }
 
@@ -288,5 +308,29 @@ mod tests {
         sim.simulate_into(&kernel, &mut metrics).unwrap();
         assert_eq!(metrics.ops(), once.ops(), "a reused sink must not double-count");
         assert_eq!(metrics.active_map(), once.active_map());
+    }
+
+    #[test]
+    fn collector_skips_slots_that_never_started() {
+        // What a failed run leaves: some instructions emitted, out of
+        // program order, the rest never started.
+        let kernel = kernel();
+        let record = |index| InstrRecord {
+            index,
+            queue: Some(Component::Vector),
+            available_at: 1.0,
+            start: 2.0,
+            end: 3.0 + index as f64,
+            stall: StallCause::QueueBusy,
+        };
+        let mut collector = TraceCollector::new();
+        collector.begin(&kernel);
+        collector.emit(&kernel.instructions()[2], record(2));
+        collector.emit(&kernel.instructions()[0], record(0));
+        let trace = collector.clone().into_trace("partial", 5.0);
+        assert_eq!(trace.records(), &[record(0), record(2)]);
+        // `begin` forgets the previous run.
+        collector.begin(&kernel);
+        assert!(collector.into_trace("empty", 0.0).records().is_empty());
     }
 }
