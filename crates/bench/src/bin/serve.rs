@@ -40,8 +40,8 @@
 //! chaos fraction becomes seeded `kill -9`s of shards mid-load (a
 //! [`KillPlan`]), `ASCEND_CACHE_DIR` gives every shard its own durable
 //! store segment, and `serve_health.json` (and the footer) carry a
-//! `cluster` block: per-shard counters, respawns, failovers, and the
-//! ring generation.
+//! `cluster` block: per-shard counters, respawns, failovers, per-class
+//! latency percentiles, and the ring generation.
 
 use ascend_arch::ChipSpec;
 use ascend_bench::{audit_policy_from_env, header, pipeline_for, run_policy, write_json};
@@ -275,14 +275,16 @@ fn run_cluster(args: &Args, shards: usize) {
         health.counters.shed_deadline,
         health.counters.drain_flushed
     );
+    println!("latency ms p50/p95/p99: interactive {} | sweep {}", health.interactive, health.sweep);
     println!(
         "cluster: {} failovers, {} kills ({} landed live), {} respawns, {} cache hits, \
-         ring generation {}",
+         {} dispatcher panics, ring generation {}",
         health.counters.failovers,
         health.counters.kills,
         kills_landed,
         health.counters.respawns,
         health.counters.cache_hits,
+        health.counters.worker_panics,
         health.ring_generation
     );
     for shard in &health.shards {

@@ -27,7 +27,7 @@
 //!
 //! [`ReferenceSimulator`]: ascend_sim::reference::ReferenceSimulator
 
-use crate::service::Priority;
+use crate::frontend::Priority;
 use crate::PipelineResult;
 use ascend_faults::SplitMix64;
 use ascend_isa::Kernel;

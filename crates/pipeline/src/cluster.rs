@@ -7,7 +7,13 @@
 //! host the sandbox pool also runs (`worker.rs`), so both tiers share
 //! one hello/job protocol, one monitor and one exit taxonomy — and
 //! routes every request by consistent hash of its pipeline cache
-//! fingerprint. This module keeps only the routing:
+//! fingerprint. Admission, the two priority lanes (one pair per shard),
+//! deadline shedding, exactly-once tickets, the ledger with its
+//! per-class latency percentiles and drain belong to the front end it
+//! shares with the [`AnalysisService`](crate::AnalysisService)
+//! (`frontend.rs`); the cluster's state lock is the front end's, so
+//! routing stays atomic with the per-shard queues. This module keeps
+//! only the routing:
 //!
 //! * **Consistent-hash ring.** [`HashRing`] places
 //!   [`DEFAULT_VIRTUAL_NODES`] points per shard on a 64-bit ring built
@@ -22,10 +28,10 @@
 //!   children that die on their own (`kill -9` included).
 //! * **Failover.** In-flight and queued requests of a dead shard are
 //!   re-routed to the ring successor, bounded by
-//!   [`ClusterConfig::max_failovers`] per request. Ticket accounting is
-//!   cluster-wide and exactly-once: `completed_ok + failed +
-//!   shed_deadline + drain_flushed == accepted` holds across any shard
-//!   death, because tickets complete idempotently (first write wins).
+//!   [`ClusterConfig::max_failovers`] per request. A failed-over job
+//!   carries its ticket, so the front end's exactly-once accounting
+//!   (`completed_ok + failed + shed_deadline + drain_flushed ==
+//!   accepted`) holds across any shard death.
 //! * **Respawn with backoff.** A dead shard is respawned under seeded
 //!   exponential backoff; consecutive failures open a per-shard circuit
 //!   breaker (visible in [`ShardHealth`]) that manifests as growing
@@ -46,14 +52,13 @@
 //!   its next frame (an idle shard is nudged with a control ping), and
 //!   every respawn hello carries the *full* quarantine set — no shard
 //!   ever serves a tombstoned result, before or after a kill.
-//! * **Graceful drain.** [`ClusterService::drain`] stops admissions,
-//!   flushes queued tickets, cancels in-flight attempts, then kills the
-//!   children. Idempotent and `Drop`-safe.
+//! * **Graceful drain.** [`ClusterService::drain`] runs the front end's
+//!   drain, then kills the children. Idempotent and `Drop`-safe.
 //!
 //! Everything observable is surfaced in a [`ClusterHealth`] snapshot:
-//! per-shard depth, in-flight state, breaker, respawns, pids, and
-//! counters, plus the ring generation (bumped on every membership
-//! change).
+//! the front end's counters and per-class p50/p95/p99, per-shard depth,
+//! in-flight state, breaker, respawns, pids, and counters, plus the
+//! ring generation (bumped on every membership change).
 //!
 //! The chaos proof lives in `tests/cluster.rs` and
 //! `examples/cluster_chaos.rs`: shards are `kill -9`ed mid-load and the
@@ -78,8 +83,12 @@
 //! ```
 
 use crate::digest::Fnv64;
+use crate::frontend::{
+    Admission, Backlog, DrainReport, Frontend, FrontendCounters, Lanes, Priority, Ticket,
+    TicketShared,
+};
 use crate::sandbox::{SandboxConfig, WorkSpec};
-use crate::service::{Priority, Ticket, TicketShared};
+use crate::stats::LatencySummary;
 use crate::transport::{FrameKind, FrameTransport};
 use crate::worker::{
     await_reply, classify_exit, encode, idle_check, reply_verdict, start_worker, worker_program,
@@ -89,14 +98,13 @@ use crate::{lock, PipelineError, PipelineResult};
 use ascend_arch::ChipSpec;
 use ascend_faults::{BuggyEngine, FaultyTransport, SplitMix64};
 use ascend_roofline::Thresholds;
-use ascend_sim::{CancelToken, SimBudget, SimError};
+use ascend_sim::{SimBudget, SimError};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::process::ExitStatus;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -286,44 +294,6 @@ pub struct ShardCounters {
     pub store_recovered: u64,
 }
 
-/// Monotonic cluster-wide event counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ClusterCounters {
-    /// Requests admitted (each owns exactly one ticket).
-    pub accepted: u64,
-    /// Requests rejected at admission with [`PipelineError::Overloaded`].
-    pub rejected_overload: u64,
-    /// Accepted requests that completed with a result.
-    pub completed_ok: u64,
-    /// Accepted requests that completed with an execution error.
-    pub failed: u64,
-    /// Accepted requests shed at dispatch after their deadline lapsed.
-    pub shed_deadline: u64,
-    /// Accepted requests flushed with [`PipelineError::ServiceStopped`]
-    /// at drain.
-    pub drain_flushed: u64,
-    /// Requests re-routed to a ring successor after their shard died.
-    pub failovers: u64,
-    /// Successful shard process bring-ups (initial spawns included).
-    pub respawns: u64,
-    /// Shard process deaths, however caused.
-    pub kills: u64,
-    /// Quarantine broadcasts issued cluster-wide.
-    pub quarantine_broadcasts: u64,
-    /// Completed requests answered from a shard's warm state.
-    pub cache_hits: u64,
-}
-
-impl ClusterCounters {
-    /// Terminal states recorded so far. After a quiesced drain this
-    /// equals [`accepted`](ClusterCounters::accepted): every admitted
-    /// ticket ended exactly one way, shard deaths notwithstanding.
-    #[must_use]
-    pub fn terminal_states(&self) -> u64 {
-        self.completed_ok + self.failed + self.shed_deadline + self.drain_flushed
-    }
-}
-
 /// Point-in-time health of one shard.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardHealth {
@@ -352,8 +322,13 @@ pub struct ShardHealth {
 pub struct ClusterHealth {
     /// Per-shard health, indexed by shard.
     pub shards: Vec<ShardHealth>,
-    /// The cluster-wide counters.
-    pub counters: ClusterCounters,
+    /// The cluster-wide counters (the front end's ledger).
+    pub counters: FrontendCounters,
+    /// Sojourn-latency percentiles (admission → terminal state, seconds)
+    /// of executed interactive requests.
+    pub interactive: LatencySummary,
+    /// Sojourn-latency percentiles of executed sweep requests.
+    pub sweep: LatencySummary,
     /// Bumped on every shard membership change (death or respawn) —
     /// routing decisions can be attributed to a ring epoch.
     pub ring_generation: u64,
@@ -380,38 +355,32 @@ impl ClusterHealth {
     }
 }
 
-/// What [`ClusterService::drain`] observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterDrainReport {
-    /// Queued requests flushed with [`PipelineError::ServiceStopped`].
-    pub flushed_queued: u64,
-    /// Whether every in-flight request reached a terminal state (and
-    /// the dispatchers were joined) before the drain deadline.
-    pub quiesced: bool,
-    /// Wall time drain took.
-    pub elapsed: Duration,
-}
-
 // ---------------------------------------------------------------------
 // Parent-side state
 // ---------------------------------------------------------------------
 
-/// One queued cluster request (or a control ping when `work` is `None`).
+/// One queued cluster request (or a control ping when `work` and
+/// `ticket` are `None`).
 #[derive(Debug)]
 struct ClusterJob {
     work: Option<WorkSpec>,
     key: u64,
     ticket: Option<Arc<TicketShared>>,
-    priority: Priority,
-    deadline: Option<Duration>,
-    enqueued_at: Instant,
     failovers: u32,
+}
+
+impl ClusterJob {
+    /// The lane the job queues in (control pings ride the interactive
+    /// lane).
+    fn priority(&self) -> Priority {
+        self.ticket.as_ref().map_or(Priority::Interactive, |ticket| ticket.priority())
+    }
 }
 
 /// Mutable state of one shard, under the cluster state lock.
 #[derive(Debug, Default)]
 struct ShardSlot {
-    queues: [VecDeque<ClusterJob>; Priority::COUNT],
+    lanes: Lanes<ClusterJob>,
     up: bool,
     in_flight: bool,
     consecutive_failures: u32,
@@ -423,37 +392,36 @@ struct ShardSlot {
     counters: ShardCounters,
 }
 
-impl ShardSlot {
-    fn depth(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-
-    fn pop(&mut self) -> Option<ClusterJob> {
-        self.queues.iter_mut().find_map(VecDeque::pop_front)
-    }
-
-    fn drain_queues(&mut self) -> Vec<ClusterJob> {
-        self.queues.iter_mut().flat_map(|queue| queue.drain(..)).collect()
-    }
+/// Tickets of `jobs`; control pings own none and die silently.
+fn tickets(jobs: impl Iterator<Item = ClusterJob>) -> Vec<Arc<TicketShared>> {
+    jobs.filter_map(|job| job.ticket).collect()
 }
 
-/// Everything under the one cluster state mutex: shard slots, the
-/// lifecycle flag, and the quarantine set change atomically relative to
-/// routing decisions.
+/// Everything under the one cluster state mutex (the front end's state
+/// lock): shard slots and the quarantine set change atomically relative
+/// to routing decisions.
 #[derive(Debug, Default)]
 struct ClusterState {
     shards: Vec<ShardSlot>,
-    draining: bool,
     quarantined: HashSet<u64>,
     generation: u64,
-    in_flight_total: usize,
+}
+
+impl Backlog for ClusterState {
+    fn depth(&self) -> usize {
+        self.shards.iter().map(|slot| slot.lanes.len()).sum()
+    }
+
+    fn take_all(&mut self) -> Vec<Arc<TicketShared>> {
+        tickets(self.shards.iter_mut().flat_map(|slot| slot.lanes.drain()))
+    }
+
+    fn release(&mut self, slot: usize) {
+        self.shards[slot].in_flight = false;
+    }
 }
 
 impl ClusterState {
-    fn depth(&self) -> usize {
-        self.shards.iter().map(ShardSlot::depth).sum()
-    }
-
     /// Marks shard `index` down, bumping the ring generation if it was up.
     fn mark_down(&mut self, index: usize) -> &mut ShardSlot {
         self.generation += u64::from(self.shards[index].up);
@@ -473,14 +441,9 @@ struct ClusterShared {
     ring: HashRing,
     /// The resolved worker binary (config override or the current exe).
     program: PathBuf,
-    state: Mutex<ClusterState>,
-    /// Signalled on admission, failover, and drain: dispatchers wait
-    /// here for work.
-    work_cv: Condvar,
-    /// Signalled whenever a shard's in-flight request concludes: drain
-    /// waits here.
-    idle_cv: Condvar,
-    counters: Mutex<ClusterCounters>,
+    /// Admission, the ledger and drain, over the per-shard lanes under
+    /// the one cluster state lock.
+    front: Frontend<ClusterState>,
     /// One process slot per shard, outside the state lock so a frame
     /// write or a `kill_shard` never blocks routing. Lock ordering:
     /// never hold the state lock and a process slot lock together.
@@ -489,8 +452,6 @@ struct ClusterShared {
     /// respawns so each scheduled fault fires at most once for the whole
     /// run. `None` everywhere outside chaos runs.
     faulty: Vec<Option<FaultyTransport>>,
-    /// Parent token of every in-flight attempt; cancelled at drain.
-    drain_token: CancelToken,
 }
 
 impl ClusterShared {
@@ -520,13 +481,13 @@ fn pick(ring: &HashRing, shards: &[ShardSlot], key: u64, exclude: Option<usize>)
         .unwrap_or_else(|| ring.owner(key))
 }
 
-/// The sharded cluster front end. See the [module docs](self) for the
-/// semantics and `tests/cluster.rs` for the chaos proof.
+/// The sharded cluster backend behind the shared front end. See the
+/// [module docs](self) for the semantics and `tests/cluster.rs` for the
+/// chaos proof.
 #[derive(Debug)]
 pub struct ClusterService {
     shared: Arc<ClusterShared>,
     dispatchers: Mutex<Vec<JoinHandle<()>>>,
-    next_id: AtomicU64,
 }
 
 impl ClusterService {
@@ -547,15 +508,21 @@ impl ClusterService {
         let ring = HashRing::new(shards, config.virtual_nodes);
         let mut state = ClusterState::default();
         state.shards.resize_with(shards, ShardSlot::default);
+        let front = Frontend::new(
+            state,
+            Admission {
+                capacity: config.queue_capacity,
+                servers: shards,
+                default_deadline: config.default_deadline,
+                seed: config.seed,
+            },
+        );
         let shared = Arc::new(ClusterShared {
             ring,
             program,
             context,
             chip,
-            state: Mutex::new(state),
-            work_cv: Condvar::new(),
-            idle_cv: Condvar::new(),
-            counters: Mutex::new(ClusterCounters::default()),
+            front,
             workers: (0..shards).map(|_| Mutex::new(None)).collect(),
             faulty: (0..shards)
                 .map(|index| {
@@ -566,7 +533,6 @@ impl ClusterService {
                         .map(|plan| FaultyTransport::new(plan, index))
                 })
                 .collect(),
-            drain_token: CancelToken::new(),
             config,
         });
         let dispatchers = (0..shards)
@@ -575,11 +541,7 @@ impl ClusterService {
                 std::thread::spawn(move || dispatcher_loop(&shared, index))
             })
             .collect();
-        Ok(ClusterService {
-            shared,
-            dispatchers: Mutex::new(dispatchers),
-            next_id: AtomicU64::new(0),
-        })
+        Ok(ClusterService { shared, dispatchers: Mutex::new(dispatchers) })
     }
 
     /// The context fingerprint (chip + thresholds) every shard serves
@@ -612,7 +574,7 @@ impl ClusterService {
     /// OS pids of the live shard processes, by shard index.
     #[must_use]
     pub fn shard_pids(&self) -> Vec<Option<u32>> {
-        lock(&self.shared.state).shards.iter().map(|slot| slot.pid).collect()
+        self.shared.front.lock().shards.iter().map(|slot| slot.pid).collect()
     }
 
     /// SIGKILLs shard `index`'s process — the chaos harness's
@@ -669,41 +631,13 @@ impl ClusterService {
         priority: Priority,
         deadline: Option<Duration>,
     ) -> Result<Ticket, PipelineError> {
-        let deadline = deadline.or(self.shared.config.default_deadline);
         let key = self.cache_key(&work);
-        let mut state = lock(&self.shared.state);
-        if state.draining {
-            return Err(PipelineError::ServiceStopped);
-        }
-        let depth = state.depth();
-        if depth >= self.shared.config.queue_capacity {
-            drop(state);
-            lock(&self.shared.counters).rejected_overload += 1;
-            return Err(PipelineError::Overloaded {
-                queue_depth: depth,
-                retry_after_hint: Duration::from_millis(25),
-            });
-        }
-        let ticket = Arc::new(TicketShared {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            priority,
-            state: Mutex::new(None),
-            ready: Condvar::new(),
-        });
-        let target = pick(&self.shared.ring, &state.shards, key, None);
-        state.shards[target].queues[priority.index()].push_back(ClusterJob {
-            work: Some(work),
-            key,
-            ticket: Some(Arc::clone(&ticket)),
-            priority,
-            deadline,
-            enqueued_at: Instant::now(),
-            failovers: 0,
-        });
-        drop(state);
-        lock(&self.shared.counters).accepted += 1;
-        self.shared.work_cv.notify_all();
-        Ok(Ticket { shared: ticket })
+        let ring = &self.shared.ring;
+        self.shared.front.admit(priority, deadline, |state, ticket| {
+            let target = pick(ring, &state.shards, key, None);
+            let job = ClusterJob { work: Some(work), key, ticket: Some(ticket), failovers: 0 };
+            state.shards[target].lanes.push(priority, job);
+        })
     }
 
     /// Quarantines `key` cluster-wide: the tombstone rides the next
@@ -714,7 +648,7 @@ impl ClusterService {
     /// again. Recomputation stays allowed; only stale bytes are barred.
     /// Idempotent.
     pub fn quarantine(&self, key: u64) {
-        let mut state = lock(&self.shared.state);
+        let mut state = self.shared.front.lock();
         if !state.quarantined.insert(key) {
             return;
         }
@@ -722,31 +656,24 @@ impl ClusterService {
             slot.pending_tombstones.push(key);
             // Nudge ahead of queued work so the tombstone cannot lose a
             // race with a request for the same fingerprint.
-            slot.queues[Priority::Interactive.index()].push_front(ClusterJob {
-                work: None,
-                key,
-                ticket: None,
-                priority: Priority::Interactive,
-                deadline: None,
-                enqueued_at: Instant::now(),
-                failovers: 0,
-            });
+            let ping = ClusterJob { work: None, key, ticket: None, failovers: 0 };
+            slot.lanes.push_front(Priority::Interactive, ping);
         }
         drop(state);
-        lock(&self.shared.counters).quarantine_broadcasts += 1;
-        self.shared.work_cv.notify_all();
+        self.shared.front.book(|counters| counters.quarantine_broadcasts += 1);
+        self.shared.front.wake_all();
     }
 
     /// Whether `key` is under cluster-wide quarantine.
     #[must_use]
     pub fn is_quarantined(&self, key: u64) -> bool {
-        lock(&self.shared.state).quarantined.contains(&key)
+        self.shared.front.lock().quarantined.contains(&key)
     }
 
     /// A point-in-time [`ClusterHealth`] snapshot.
     #[must_use]
     pub fn health(&self) -> ClusterHealth {
-        let state = lock(&self.shared.state);
+        let state = self.shared.front.lock();
         let shards = state
             .shards
             .iter()
@@ -754,7 +681,7 @@ impl ClusterService {
             .map(|(index, slot)| ShardHealth {
                 index,
                 up: slot.up,
-                queue_depth: slot.depth(),
+                queue_depth: slot.lanes.len(),
                 in_flight: slot.in_flight,
                 consecutive_failures: slot.consecutive_failures,
                 breaker_open: slot.consecutive_failures >= self.shared.config.breaker_threshold,
@@ -768,58 +695,35 @@ impl ClusterService {
             draining: state.draining,
             queue_depth: state.depth(),
             quarantined: state.quarantined.len(),
-            counters: ClusterCounters::default(),
+            counters: FrontendCounters::default(),
+            interactive: LatencySummary::default(),
+            sweep: LatencySummary::default(),
         };
         drop(state);
-        ClusterHealth { counters: *lock(&self.shared.counters), ..health }
+        let (counters, [interactive, sweep]) = self.shared.front.ledger();
+        ClusterHealth { counters, interactive, sweep, ..health }
     }
 
-    /// Gracefully stops the cluster: closes admissions, flushes every
-    /// queued ticket with [`PipelineError::ServiceStopped`], cancels
-    /// in-flight attempts (killing their shard processes), waits up to
-    /// `timeout` for quiescence, then force-kills any children still
-    /// alive. Idempotent; every accepted ticket has a terminal state
-    /// once this returns with `quiesced == true`.
-    pub fn drain(&self, timeout: Duration) -> ClusterDrainReport {
+    /// Gracefully stops the cluster: the front end's drain (close
+    /// admissions, flush every queued ticket, cancel in-flight attempts,
+    /// killing their shard processes), a wait of up to `timeout` for
+    /// quiescence, then a force-kill of any children still alive.
+    /// Idempotent; every accepted ticket has a terminal state once this
+    /// returns with `quiesced == true`.
+    pub fn drain(&self, timeout: Duration) -> DrainReport {
         let start = Instant::now();
-        let flushed = {
-            let mut state = lock(&self.shared.state);
-            state.draining = true;
-            state.shards.iter_mut().flat_map(ShardSlot::drain_queues).collect()
-        };
-        self.shared.work_cv.notify_all();
-        let flushed_count = flush(&self.shared, flushed);
-        self.shared.drain_token.cancel();
-
-        let mut state = lock(&self.shared.state);
-        while state.in_flight_total > 0 {
-            let Some(remaining) = timeout.checked_sub(start.elapsed()) else { break };
-            let (guard, _timed_out) = self
-                .shared
-                .idle_cv
-                .wait_timeout(state, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = guard;
-        }
-        let quiesced = state.in_flight_total == 0;
-        drop(state);
-        if quiesced {
-            let handles = std::mem::take(&mut *lock(&self.dispatchers));
-            for handle in handles {
-                let _ = handle.join();
-            }
-        }
+        let (flushed_queued, quiesced) = self.shared.front.drain(start, timeout, &self.dispatchers);
         // Backstop: dispatchers kill their own children on exit, but a
         // non-quiesced drain leaves them running — never leak a child.
         for index in 0..self.shared.workers.len() {
             self.shared.kill_process(index);
         }
-        let mut state = lock(&self.shared.state);
+        let mut state = self.shared.front.lock();
         for index in 0..state.shards.len() {
             state.mark_down(index);
         }
         drop(state);
-        ClusterDrainReport { flushed_queued: flushed_count, quiesced, elapsed: start.elapsed() }
+        DrainReport { flushed_queued, quiesced, elapsed: start.elapsed() }
     }
 }
 
@@ -842,32 +746,8 @@ enum Next {
     Exit,
 }
 
-/// Ensures the in-flight bookkeeping — and a terminal state for the
-/// ticket — survives every exit path of one dispatched job, including a
-/// panic unwinding out of the dispatcher's own handling. A requeued job
-/// hands its ticket onward by clearing `ticket` first.
-struct InFlight<'a> {
-    shared: &'a ClusterShared,
-    index: usize,
-    ticket: Option<Arc<TicketShared>>,
-}
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        if let Some(ticket) = &self.ticket {
-            if ticket.complete(Err(PipelineError::Panicked {
-                message: "cluster dispatcher panicked while handling this request".to_string(),
-            })) {
-                lock(&self.shared.counters).failed += 1;
-            }
-        }
-        let mut state = lock(&self.shared.state);
-        state.shards[self.index].in_flight = false;
-        state.in_flight_total = state.in_flight_total.saturating_sub(1);
-        drop(state);
-        self.shared.idle_cv.notify_all();
-    }
-}
+/// The in-flight guard of one dispatched job on its shard's slot.
+type InFlight<'a> = crate::frontend::InFlight<'a, ClusterState>;
 
 fn dispatcher_loop(shared: &Arc<ClusterShared>, index: usize) {
     let mut events: Option<Receiver<ReadEvent>> = None;
@@ -880,8 +760,8 @@ fn dispatcher_loop(shared: &Arc<ClusterShared>, index: usize) {
             Next::Exit => {
                 shared.kill_process(index);
                 drop(events);
-                let leftovers = lock(&shared.state).mark_down(index).drain_queues();
-                flush(shared, leftovers);
+                let leftovers = tickets(shared.front.lock().mark_down(index).lanes.drain());
+                shared.front.flush(leftovers);
                 return;
             }
         }
@@ -906,7 +786,7 @@ fn maintain(
         return;
     }
     let due = {
-        let state = lock(&shared.state);
+        let state = shared.front.lock();
         if state.draining {
             return;
         }
@@ -926,7 +806,7 @@ fn try_respawn(
     events: &mut Option<Receiver<ReadEvent>>,
     rng: &mut SplitMix64,
 ) {
-    let tombstones: Vec<u64> = lock(&shared.state).quarantined.iter().copied().collect();
+    let tombstones: Vec<u64> = shared.front.lock().quarantined.iter().copied().collect();
     let hello = ShardHello {
         store_path: shared.shard_store_path(index).map(|p| p.display().to_string()),
         quarantine: tombstones.clone(),
@@ -938,7 +818,7 @@ fn try_respawn(
         shared.faulty[index].as_ref(),
         &shared.config.sandbox,
         hello,
-        Some(&shared.drain_token),
+        Some(shared.front.drain_token()),
     );
     let (process, receiver, recovered) = match started {
         Ok(parts) => parts,
@@ -951,7 +831,7 @@ fn try_respawn(
     let pid = process.pid();
     *lock(&shared.workers[index]) = Some(process);
     *events = Some(receiver);
-    let mut state = lock(&shared.state);
+    let mut state = shared.front.lock();
     state.generation += 1;
     let slot = &mut state.shards[index];
     slot.up = true;
@@ -964,11 +844,11 @@ fn try_respawn(
     // added after the snapshot stay pending.
     slot.pending_tombstones.retain(|key| !tombstones.contains(key));
     drop(state);
-    lock(&shared.counters).respawns += 1;
+    shared.front.book(|counters| counters.respawns += 1);
 }
 
 fn record_respawn_failure(shared: &ClusterShared, index: usize, rng: &mut SplitMix64) {
-    let mut state = lock(&shared.state);
+    let mut state = shared.front.lock();
     let slot = &mut state.shards[index];
     slot.consecutive_failures = slot.consecutive_failures.saturating_add(1);
     slot.backoff_until =
@@ -991,19 +871,18 @@ fn backoff_for(attempt: u32, config: &ClusterConfig, rng: &mut SplitMix64) -> Du
 /// the shard is up — a down shard's queue waits for its respawn (or for
 /// the death handler to fail it over).
 fn next_job(shared: &ClusterShared, index: usize) -> Next {
-    let mut state = lock(&shared.state);
+    let mut state = shared.front.lock();
     if state.shards[index].up {
-        if let Some(job) = state.shards[index].pop() {
+        if let Some(job) = state.shards[index].lanes.pop() {
             state.shards[index].in_flight = true;
-            state.in_flight_total += 1;
+            state.in_flight += 1;
             return Next::Job(job);
         }
     }
     if state.draining {
         return Next::Exit;
     }
-    let (_guard, _timed_out) =
-        shared.work_cv.wait_timeout(state, TICK).unwrap_or_else(PoisonError::into_inner);
+    drop(shared.front.wait_for_work(state, Some(TICK)));
     Next::Idle
 }
 
@@ -1016,25 +895,18 @@ fn run_one(
     events: &mut Option<Receiver<ReadEvent>>,
     rng: &mut SplitMix64,
 ) {
-    let mut guard = InFlight { shared, index, ticket: job.ticket.clone() };
+    let mut guard = shared.front.in_flight(job.ticket.clone(), index);
 
-    // Shed at dispatch: a lapsed deadline means nobody is waiting.
-    if let (Some(ticket), Some(deadline)) = (&job.ticket, job.deadline) {
-        let queued_for = job.enqueued_at.elapsed();
-        if queued_for >= deadline {
-            if ticket.complete(Err(PipelineError::DeadlineShed { queued_for })) {
-                lock(&shared.counters).shed_deadline += 1;
-                lock(&shared.state).shards[index].counters.shed_deadline += 1;
-            }
-            return;
-        }
+    if job.ticket.as_ref().is_some_and(|ticket| shared.front.shed_if_lapsed(ticket)) {
+        shared.front.lock().shards[index].counters.shed_deadline += 1;
+        return;
     }
 
     // Snapshot the tombstones riding this frame, and whether the job's
     // own key is already covered by the quarantine (delivered earlier
     // or in this very frame) — the reply-time race check needs it.
     let (sent_tombstones, covered) = {
-        let state = lock(&shared.state);
+        let state = shared.front.lock();
         let slot = &state.shards[index];
         (slot.pending_tombstones.clone(), state.quarantined.contains(&job.key))
     };
@@ -1042,8 +914,10 @@ fn run_one(
         context: shared.context,
         work: job.work,
         deadline_ms: job
-            .deadline
-            .map(|d| d.saturating_sub(job.enqueued_at.elapsed()).as_millis().max(1) as u64),
+            .ticket
+            .as_ref()
+            .and_then(|ticket| ticket.remaining())
+            .map(|remaining| remaining.as_millis().max(1) as u64),
         budget: shared.config.budget.map(Into::into),
         quarantine: sent_tombstones.clone(),
     });
@@ -1066,6 +940,7 @@ fn run_one(
         }
         None => Err("no live shard process".to_string()),
     };
+    let drain_token = shared.front.drain_token();
     let replied = match (sent, events.as_ref()) {
         (Err(detail), _) => {
             // The shard died between jobs; classify from its exit status.
@@ -1073,7 +948,7 @@ fn run_one(
         }
         (Ok(()), Some(receiver)) => {
             let slot = &mut &shared.workers[index];
-            await_reply(&shared.config.sandbox, receiver, slot, pid, Some(&shared.drain_token))
+            await_reply(&shared.config.sandbox, receiver, slot, pid, Some(drain_token))
         }
         (Ok(()), None) => Err(PipelineError::WorkerProtocol {
             detail: "no reader channel for a dispatched job".to_string(),
@@ -1085,14 +960,9 @@ fn run_one(
             // Drain kill: mark the shard down without a backoff penalty
             // — the cluster is stopping, not sick.
             *events = None;
-            lock(&shared.state).mark_down(index).counters.kills += 1;
-            lock(&shared.counters).kills += 1;
-            if let Some(ticket) = &job.ticket {
-                if ticket.complete(Err(preempted)) {
-                    lock(&shared.counters).failed += 1;
-                    lock(&shared.state).shards[index].counters.failed += 1;
-                }
-            }
+            shared.front.lock().mark_down(index).counters.kills += 1;
+            shared.front.book(|counters| counters.kills += 1);
+            conclude(shared, index, &job, Err(preempted), false);
             return;
         }
         Err(err) => {
@@ -1104,7 +974,7 @@ fn run_one(
 
     // The shard acknowledged the tombstones riding this frame.
     if !sent_tombstones.is_empty() {
-        let mut state = lock(&shared.state);
+        let mut state = shared.front.lock();
         state.shards[index].pending_tombstones.retain(|key| !sent_tombstones.contains(key));
     }
     match reply_verdict(reply.outcome, job.key, job.ticket.is_some()) {
@@ -1114,7 +984,7 @@ fn run_one(
             // its answer may be stale state — recompute instead of
             // serving it.
             let (raced, draining) = {
-                let state = lock(&shared.state);
+                let state = shared.front.lock();
                 (!covered && state.quarantined.contains(&job.key), state.draining)
             };
             if raced {
@@ -1129,7 +999,7 @@ fn run_one(
         }
         ReplyVerdict::Serve(None) => {
             // A quarantine nudge acknowledged; the shard is healthy.
-            lock(&shared.state).shards[index].consecutive_failures = 0;
+            shared.front.lock().shards[index].consecutive_failures = 0;
         }
         ReplyVerdict::Fail(err) => conclude(shared, index, &job, Err(err), false),
         ReplyVerdict::Retire(err) => {
@@ -1141,9 +1011,8 @@ fn run_one(
     }
 }
 
-/// Records a terminal state for a dispatched job and advances the
-/// matching counters exactly once (the ticket's idempotent `complete`
-/// is the dedup point).
+/// Settles a dispatched job through the front end and, on the winning
+/// write, books it on the shard's own counters.
 fn conclude(
     shared: &ClusterShared,
     index: usize,
@@ -1154,43 +1023,26 @@ fn conclude(
     let ok = outcome.is_ok();
     // A successful exchange is the shard's bill of health either way:
     // a reported failure still means the process served its frame.
-    {
-        let mut state = lock(&shared.state);
-        state.shards[index].consecutive_failures = 0;
-    }
+    shared.front.lock().shards[index].consecutive_failures = 0;
     let Some(ticket) = &job.ticket else { return };
-    if !ticket.complete(outcome) {
+    if !shared.front.settle(ticket, outcome, served_cached) {
         return;
     }
-    let mut counters = lock(&shared.counters);
+    let mut state = shared.front.lock();
+    let counters = &mut state.shards[index].counters;
     if ok {
         counters.completed_ok += 1;
-        if served_cached {
-            counters.cache_hits += 1;
-        }
+        counters.cache_hits += u64::from(served_cached);
     } else {
         counters.failed += 1;
-    }
-    drop(counters);
-    let mut state = lock(&shared.state);
-    let slot = &mut state.shards[index];
-    if ok {
-        slot.counters.completed_ok += 1;
-        if served_cached {
-            slot.counters.cache_hits += 1;
-        }
-    } else {
-        slot.counters.failed += 1;
     }
 }
 
 /// Puts a job back on its own shard's queue (quarantine-race recompute).
 fn requeue(shared: &ClusterShared, index: usize, job: ClusterJob, guard: &mut InFlight<'_>) {
-    guard.ticket = None; // the ticket rides with the job, not the guard
-    let mut state = lock(&shared.state);
-    state.shards[index].queues[job.priority.index()].push_back(job);
-    drop(state);
-    shared.work_cv.notify_all();
+    guard.hand_off();
+    shared.front.lock().shards[index].lanes.push(job.priority(), job);
+    shared.front.wake_all();
 }
 
 /// Routes a job that lost its shard: to the ring successor while its
@@ -1203,29 +1055,26 @@ fn fail_over(
     guard: &mut InFlight<'_>,
     err: PipelineError,
 ) {
-    let Some(ticket) = &job.ticket else { return }; // control pings die with their shard
+    let Some(ticket) = job.ticket.clone() else { return }; // control pings die with their shard
     job.failovers += 1;
-    let draining = lock(&shared.state).draining;
+    let draining = shared.front.lock().draining;
     if draining {
-        if ticket.complete(Err(PipelineError::ServiceStopped)) {
-            lock(&shared.counters).drain_flushed += 1;
-        }
+        shared.front.flush([ticket]);
         return;
     }
     if job.failovers > shared.config.max_failovers {
-        if ticket.complete(Err(err)) {
-            lock(&shared.counters).failed += 1;
-            lock(&shared.state).shards[index].counters.failed += 1;
+        if shared.front.settle(&ticket, Err(err), false) {
+            shared.front.lock().shards[index].counters.failed += 1;
         }
         return;
     }
-    guard.ticket = None; // the ticket rides with the job
-    let mut state = lock(&shared.state);
+    guard.hand_off();
+    let mut state = shared.front.lock();
     let target = pick(&shared.ring, &state.shards, job.key, Some(index));
-    state.shards[target].queues[job.priority.index()].push_back(job);
+    state.shards[target].lanes.push(job.priority(), job);
     drop(state);
-    lock(&shared.counters).failovers += 1;
-    shared.work_cv.notify_all();
+    shared.front.book(|counters| counters.failovers += 1);
+    shared.front.wake_all();
 }
 
 /// Books a shard process death: tears down the handle, opens the
@@ -1243,50 +1092,34 @@ fn handle_worker_death(
     let mut moved = 0u64;
     let mut flushed = Vec::new();
     {
-        let mut state = lock(&shared.state);
+        let mut state = shared.front.lock();
+        let draining = state.draining;
         let slot = state.mark_down(index);
         slot.counters.kills += 1;
         slot.consecutive_failures = slot.consecutive_failures.saturating_add(1);
         let failures = slot.consecutive_failures;
         slot.backoff_until = Some(Instant::now() + backoff_for(failures, &shared.config, rng));
-        let drained = slot.drain_queues();
-        let draining = state.draining;
+        let drained: Vec<ClusterJob> = slot.lanes.drain().collect();
         for job in drained {
-            if job.ticket.is_none() {
-                continue; // control pings die with their shard
-            }
+            let Some(ticket) = &job.ticket else { continue }; // control pings die with their shard
             if draining {
-                flushed.push(job);
+                flushed.push(Arc::clone(ticket));
                 continue;
             }
             let target = pick(&shared.ring, &state.shards, job.key, Some(index));
             if target != index {
                 moved += 1;
             }
-            state.shards[target].queues[job.priority.index()].push_back(job);
+            state.shards[target].lanes.push(job.priority(), job);
         }
     }
     eprintln!("[cluster] shard {index} down: {cause}");
-    flush(shared, flushed);
-    let mut counters = lock(&shared.counters);
-    counters.kills += 1;
-    counters.failovers += moved;
-    drop(counters);
-    shared.work_cv.notify_all();
-}
-
-/// Completes the tickets of `jobs` with [`PipelineError::ServiceStopped`]
-/// and books them as drain-flushed; control pings die silently.
-fn flush(shared: &ClusterShared, jobs: Vec<ClusterJob>) -> u64 {
-    let flushed = jobs
-        .into_iter()
-        .filter_map(|job| job.ticket)
-        .filter(|ticket| ticket.complete(Err(PipelineError::ServiceStopped)))
-        .count() as u64;
-    if flushed > 0 {
-        lock(&shared.counters).drain_flushed += flushed;
-    }
-    flushed
+    shared.front.flush(flushed);
+    shared.front.book(|counters| {
+        counters.kills += 1;
+        counters.failovers += moved;
+    });
+    shared.front.wake_all();
 }
 
 #[cfg(test)]
@@ -1356,19 +1189,6 @@ mod tests {
         let mut a = SplitMix64::new(9);
         let mut b = SplitMix64::new(9);
         assert_eq!(backoff_for(2, &config, &mut a), backoff_for(2, &config, &mut b));
-    }
-
-    #[test]
-    fn cluster_counters_terminal_states_sum() {
-        let counters = ClusterCounters {
-            accepted: 10,
-            completed_ok: 4,
-            failed: 3,
-            shed_deadline: 2,
-            drain_flushed: 1,
-            ..ClusterCounters::default()
-        };
-        assert_eq!(counters.terminal_states(), counters.accepted);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! delta-debugger can re-evaluate the same contract on minimized
 //! schedules.
 
-use crate::cluster::ClusterCounters;
+use crate::frontend::FrontendCounters;
 use crate::store::StoreVerifyReport;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -51,7 +51,7 @@ impl InvariantReport {
     /// **Exactly-once accounting**: every admitted ticket reached exactly
     /// one terminal state — no request lost to a shard death, none
     /// answered twice.
-    pub fn exactly_once(&mut self, counters: &ClusterCounters) {
+    pub fn exactly_once(&mut self, counters: &FrontendCounters) {
         let terminal = counters.terminal_states();
         self.check(
             "exactly-once",
@@ -205,12 +205,12 @@ mod tests {
 
     #[test]
     fn exactly_once_compares_terminal_states() {
-        let mut counters = ClusterCounters {
+        let mut counters = FrontendCounters {
             accepted: 10,
             completed_ok: 7,
             failed: 2,
             drain_flushed: 1,
-            ..ClusterCounters::default()
+            ..FrontendCounters::default()
         };
         let mut report = InvariantReport::new();
         report.exactly_once(&counters);

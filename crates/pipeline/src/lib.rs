@@ -50,6 +50,7 @@ mod cluster;
 pub mod digest;
 pub mod divergence;
 mod error;
+mod frontend;
 pub mod invariants;
 mod sandbox;
 mod service;
@@ -61,18 +62,16 @@ mod worker;
 
 pub use audit::{AuditPolicy, AuditStats};
 pub use cluster::{
-    ClusterConfig, ClusterCounters, ClusterDrainReport, ClusterHealth, ClusterService, HashRing,
-    ShardCounters, ShardHealth, DEFAULT_VIRTUAL_NODES,
+    ClusterConfig, ClusterHealth, ClusterService, HashRing, ShardCounters, ShardHealth,
+    DEFAULT_VIRTUAL_NODES,
 };
 pub use digest::result_digest;
 pub use divergence::DivergenceReport;
 pub use error::PipelineError;
+pub use frontend::{DrainReport, FrontendCounters, Priority, Ticket};
 pub use invariants::{InvariantCheck, InvariantReport};
 pub use sandbox::{SandboxConfig, SandboxCounters, SandboxedExecutor, WorkSpec};
-pub use service::{
-    AnalysisService, DrainReport, HealthSnapshot, Isolation, Priority, Request, ServiceConfig,
-    ServiceCounters, Ticket,
-};
+pub use service::{AnalysisService, HealthSnapshot, Isolation, Request, ServiceConfig};
 pub use stats::{LatencyReservoir, LatencySummary, DEFAULT_RESERVOIR_CAPACITY};
 pub use store::{
     FsyncPolicy, ResultStore, StoreConfig, StoreError, StoreStats, StoreVerifyReport,

@@ -187,6 +187,32 @@ fn cluster_serves_bit_identical_results_and_accounts_exactly_once() {
 }
 
 #[test]
+fn served_requests_are_sampled_into_per_class_latency() {
+    let cluster =
+        ClusterService::start(ChipSpec::training(), cluster_config(2)).expect("cluster start");
+    let specs = batch(12);
+    let tickets: Vec<_> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            let priority = if i < 8 { Priority::Interactive } else { Priority::Sweep };
+            cluster.submit(*spec, priority).expect("admission")
+        })
+        .collect();
+    for ticket in &tickets {
+        ticket.wait().expect("clustered work succeeds");
+    }
+    assert!(cluster.drain(Duration::from_secs(10)).quiesced);
+    let health = cluster.health();
+    assert_eq!(health.interactive.count, 8, "one sojourn sample per served interactive request");
+    assert_eq!(health.sweep.count, 4, "one sojourn sample per served sweep request");
+    for class in [health.interactive, health.sweep] {
+        assert!(class.p50 > 0.0 && class.p50 <= class.p99, "{class:?}");
+    }
+    assert_eq!(health.counters.worker_panics, 0, "{:?}", health.counters);
+}
+
+#[test]
 fn chaos_kill_dash_nine_loses_no_tickets_and_the_victim_respawns() {
     let dir = std::env::temp_dir().join(format!("ascend-cluster-chaos-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("cache dir");
