@@ -346,13 +346,6 @@ impl ClusterHealth {
     pub fn live_shards(&self) -> usize {
         self.shards.iter().filter(|shard| shard.up).count()
     }
-
-    /// Whether at least one shard can serve (the no-full-cluster-outage
-    /// predicate the chaos suite asserts under kills).
-    #[must_use]
-    pub fn is_serving(&self) -> bool {
-        !self.draining && self.live_shards() > 0
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -886,6 +879,13 @@ fn next_job(shared: &ClusterShared, index: usize) -> Next {
     Next::Idle
 }
 
+/// The deadline a job frame carries for `ticket`: its remaining time in
+/// whole milliseconds, rounded down so the shard never runs past it, but
+/// at least 1 ms, since a shard reads 0 as lapsed on arrival.
+fn frame_deadline_ms(ticket: &TicketShared) -> Option<u64> {
+    ticket.remaining().map(|remaining| remaining.as_millis().max(1) as u64)
+}
+
 /// Dispatches one job to the shard and concludes its ticket: the heart
 /// of the failover and accounting story.
 fn run_one(
@@ -913,11 +913,7 @@ fn run_one(
     let request = ShardRequest::Job(ShardJob {
         context: shared.context,
         work: job.work,
-        deadline_ms: job
-            .ticket
-            .as_ref()
-            .and_then(|ticket| ticket.remaining())
-            .map(|remaining| remaining.as_millis().max(1) as u64),
+        deadline_ms: job.ticket.as_deref().and_then(frame_deadline_ms),
         budget: shared.config.budget.map(Into::into),
         quarantine: sent_tombstones.clone(),
     });
@@ -1189,6 +1185,36 @@ mod tests {
         let mut a = SplitMix64::new(9);
         let mut b = SplitMix64::new(9);
         assert_eq!(backoff_for(2, &config, &mut a), backoff_for(2, &config, &mut b));
+    }
+
+    #[test]
+    fn job_frame_deadline_is_at_least_one_ms_and_within_the_ticket() {
+        let front = Frontend::new(
+            Lanes::default(),
+            Admission { capacity: 8, servers: 1, default_deadline: None, seed: 1 },
+        );
+        let admit = |deadline| {
+            let mut admitted = None;
+            front
+                .admit(Priority::Interactive, deadline, |lanes: &mut Lanes<_>, ticket| {
+                    admitted = Some(Arc::clone(&ticket));
+                    lanes.push(Priority::Interactive, ticket);
+                })
+                .expect("below capacity");
+            admitted.expect("enqueued")
+        };
+        for ms in [2, 5, 250, 30_000] {
+            let ticket = admit(Some(Duration::from_millis(ms)));
+            let remaining = ticket.remaining().expect("has a deadline");
+            let sent = frame_deadline_ms(&ticket).expect("has a deadline");
+            assert!(sent >= 1, "{ms} ms deadline sent as {sent} ms");
+            assert!(
+                Duration::from_millis(sent) <= remaining,
+                "{ms} ms deadline sent as {sent} ms with {remaining:?} left"
+            );
+        }
+        assert_eq!(frame_deadline_ms(&admit(Some(Duration::ZERO))), Some(1));
+        assert_eq!(frame_deadline_ms(&admit(None)), None);
     }
 
     #[test]

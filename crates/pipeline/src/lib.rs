@@ -82,6 +82,8 @@ pub use transport::{
     encode_frame, read_frame, write_frame, Frame, FrameKind, FrameTransport, PipeTransport,
     MAX_FRAME_LEN, WIRE_VERSION,
 };
+#[doc(hidden)]
+pub use worker::reencode_payload;
 pub use worker::{run_worker_if_requested, worker_main, WORKER_ENV};
 
 use ascend_arch::{ArchError, ChipSpec};
@@ -523,9 +525,8 @@ impl AnalysisPipeline {
             (Some(found), _) => found,
             (None, Some(store)) => {
                 let payload = store.get(key)?;
-                let parsed = std::str::from_utf8(&payload)
+                let parsed = serde_json::from_slice::<PipelineResult>(&payload)
                     .ok()
-                    .and_then(|text| serde_json::from_str::<PipelineResult>(text).ok())
                     .filter(|result| result.fingerprint == key);
                 let Some(result) = parsed else {
                     store.discard(key);

@@ -483,7 +483,23 @@ pub(crate) fn idle_check(
 }
 
 fn parse_reply(payload: &[u8]) -> Option<ShardReply> {
-    std::str::from_utf8(payload).ok().and_then(|text| serde_json::from_str(text).ok())
+    serde_json::from_slice(payload).ok()
+}
+
+fn parse_request(payload: &[u8]) -> Option<ShardRequest> {
+    serde_json::from_slice(payload).ok()
+}
+
+/// Decodes `payload` the way a child reads a job frame (`kind` is
+/// [`FrameKind::Job`]) or a parent reads an outcome frame (any other
+/// kind), and re-encodes what it decoded; `None` if it does not decode.
+/// Test hook for the decoder's parity golden, not API.
+#[doc(hidden)]
+pub fn reencode_payload(kind: FrameKind, payload: &[u8]) -> Option<String> {
+    match kind {
+        FrameKind::Job => parse_request(payload).and_then(|r| serde_json::to_string(&r).ok()),
+        _ => parse_reply(payload).and_then(|r| serde_json::to_string(&r).ok()),
+    }
 }
 
 /// How a child's stream stopped before the reply the parent wanted.
@@ -605,10 +621,7 @@ pub fn worker_main() -> ! {
             Ok(None) => std::process::exit(0),
             Err(detail) => exit_malformed(&detail),
         };
-        let Some(request) = std::str::from_utf8(&frame.payload)
-            .ok()
-            .and_then(|text| serde_json::from_str::<ShardRequest>(text).ok())
-        else {
+        let Some(request) = parse_request(&frame.payload) else {
             exit_malformed("job frame did not parse");
         };
         let fault = match &request {

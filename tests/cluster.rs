@@ -461,3 +461,54 @@ fn drain_is_idempotent_and_flushes_queued_work() {
     assert_eq!(health.live_shards(), 0, "drained clusters hold no processes");
     assert!(cluster.shard_pids().iter().all(Option::is_none));
 }
+
+#[test]
+fn a_deadline_that_lapses_in_the_queue_sheds_the_request_and_a_live_one_is_served() {
+    use ascend::faults::HostileMode;
+    use ascend::pipeline::{PipelineError, WorkSpec};
+
+    // One shard, held by a spinning job until its wall-clock kill; no
+    // failover, so the spinner fails once instead of re-queueing.
+    let mut config = cluster_config(1);
+    config.sandbox.wall_clock_limit = Duration::from_millis(500);
+    config.max_failovers = 0;
+    let cluster = ClusterService::start(ChipSpec::training(), config).expect("cluster start");
+    wait_for_live(&cluster, 1);
+    let spinner = cluster
+        .submit(WorkSpec::hostile(HostileMode::Spin), Priority::Interactive)
+        .expect("admission");
+    wait_until(&cluster, |health| health.queue_depth == 0, "spinner dispatched");
+
+    let lapsing = cluster
+        .submit_with_deadline(
+            OpSpec::gelu(1 << 12),
+            Priority::Interactive,
+            Duration::from_millis(100),
+        )
+        .expect("admission");
+    let live = cluster
+        .submit_with_deadline(
+            OpSpec::softmax(1 << 12),
+            Priority::Interactive,
+            Duration::from_secs(60),
+        )
+        .expect("admission");
+
+    assert!(spinner.wait().is_err(), "the spinner is killed at its wall-clock limit");
+    match lapsing.wait() {
+        Err(PipelineError::DeadlineShed { queued_for }) => {
+            assert!(queued_for >= Duration::from_millis(100), "shed after {queued_for:?}");
+        }
+        other => panic!("a request whose deadline lapsed in the queue must be shed: {other:?}"),
+    }
+    let served = live.wait().expect("a request within its deadline is served");
+    let reference = AnalysisPipeline::new(ChipSpec::training());
+    assert_eq!(*served, *reference.run(OpSpec::softmax(1 << 12).instantiate().as_ref()).unwrap());
+
+    assert!(cluster.drain(Duration::from_secs(10)).quiesced);
+    let counters = cluster.health().counters;
+    assert_eq!(counters.accepted, 3);
+    assert_eq!(counters.shed_deadline, 1, "{counters:?}");
+    assert_eq!(counters.completed_ok, 1, "{counters:?}");
+    assert_eq!(counters.terminal_states(), counters.accepted, "{counters:?}");
+}
