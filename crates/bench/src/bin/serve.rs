@@ -16,7 +16,7 @@
 //! final [`HealthSnapshot`], the pipeline instrumentation footer, and
 //! writes `serve_health.json` under the experiments directory.
 //!
-//! With `--sandboxed`, every class runs [`Isolation::Sandboxed`]: the
+//! With `--sandboxed`, the service runs [`Isolation::Sandboxed`]: the
 //! traffic becomes operator *specs* served by supervised child
 //! processes (this binary re-exec'd as a worker), and the chaos
 //! fraction becomes the fault library's hostile modes — worker kills
@@ -45,11 +45,12 @@
 
 use ascend_arch::ChipSpec;
 use ascend_bench::{audit_policy_from_env, header, pipeline_for, run_policy, write_json};
-use ascend_faults::{FaultPlan, FaultedOperator, HostileMode, KillPlan, LoadProfile};
+use ascend_faults::{Arrival, FaultPlan, FaultedOperator, HostileMode, KillPlan, LoadProfile};
 use ascend_ops::{AddRelu, Elementwise, EltwiseKind, LayerNorm, OpSpec, Operator, Softmax};
 use ascend_pipeline::{
-    AnalysisService, ClusterConfig, ClusterService, Isolation, PipelineError, Priority, Request,
-    SandboxConfig, ServiceConfig, Ticket, WorkSpec,
+    AnalysisService, ClusterConfig, ClusterService, DrainReport, FrontendCounters, Isolation,
+    LatencySummary, PipelineError, Priority, Request, SandboxConfig, ServiceConfig, Ticket,
+    WorkSpec,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -167,6 +168,84 @@ struct ClusterServeReport {
     rejected: u64,
 }
 
+/// The start of the `load:` line both modes print.
+fn load_line(args: &Args, arrivals: &[Arrival]) -> String {
+    format!(
+        "load: {} arrivals over {:?} (mean {} Hz, 4x burst every {:?})",
+        arrivals.len(),
+        args.duration,
+        args.rate_hz,
+        args.duration / 4,
+    )
+}
+
+/// The open-loop driver both modes share: waits until each arrival is
+/// due and submits it in its class. `before` runs ahead of each arrival
+/// (cluster mode lands its scheduled kills there). Returns the held
+/// tickets and the requests rejected at admission; any other submit
+/// error ends the run.
+fn replay(
+    arrivals: &[Arrival],
+    mut before: impl FnMut(Duration),
+    mut submit: impl FnMut(u64, Priority) -> Result<Ticket, PipelineError>,
+) -> (Vec<Ticket>, u64) {
+    let start = Instant::now();
+    let mut tickets: Vec<Ticket> = Vec::new();
+    let mut rejected = 0u64;
+    for arrival in arrivals {
+        before(arrival.at);
+        if let Some(wait) = arrival.at.checked_sub(start.elapsed()) {
+            std::thread::sleep(wait);
+        }
+        let priority = if arrival.interactive { Priority::Interactive } else { Priority::Sweep };
+        match submit(arrival.draw, priority) {
+            Ok(ticket) => tickets.push(ticket),
+            Err(PipelineError::Overloaded { .. }) => rejected += 1,
+            Err(err) => {
+                eprintln!("submit failed: {err}");
+                std::process::exit(1);
+            }
+        }
+    }
+    (tickets, rejected)
+}
+
+/// The report both modes share: admission, outcomes and latency, then
+/// the mode's own lines (`backend`), then drain; and the terminal-state
+/// checks every run must pass.
+fn report(
+    counters: &FrontendCounters,
+    latency: [&LatencySummary; 2],
+    (tickets, rejected): &(Vec<Ticket>, u64),
+    drain: &DrainReport,
+    backend: impl FnOnce(),
+) {
+    println!(
+        "admission: {} accepted, {} rejected (open-loop, no client retry)",
+        counters.accepted, rejected
+    );
+    println!(
+        "outcomes: {} ok, {} failed, {} shed, {} flushed at drain",
+        counters.completed_ok, counters.failed, counters.shed_deadline, counters.drain_flushed
+    );
+    println!("latency ms p50/p95/p99: interactive {} | sweep {}", latency[0], latency[1]);
+    backend();
+    println!(
+        "drain: flushed {} queued, quiesced: {}, elapsed {:.1} ms",
+        drain.flushed_queued,
+        drain.quiesced,
+        drain.elapsed.as_secs_f64() * 1e3
+    );
+    assert!(drain.quiesced, "drain must quiesce within its deadline");
+    assert_eq!(
+        counters.terminal_states(),
+        counters.accepted,
+        "every accepted ticket must reach exactly one terminal state"
+    );
+    let settled = tickets.iter().filter(|t| t.try_result().is_some()).count();
+    assert_eq!(settled, tickets.len(), "every held ticket must be settled after drain");
+}
+
 /// The `--cluster N` path: the same seeded open-loop load served by a
 /// sharded [`ClusterService`] instead of one resident service. The
 /// chaos fraction sets the intensity of a seeded [`KillPlan`] whose
@@ -174,7 +253,7 @@ struct ClusterServeReport {
 /// demo: the printed cluster block reports kills, failovers, respawns,
 /// and the ring generation, and the same block lands in
 /// `serve_health.json`.
-fn run_cluster(args: &Args, shards: usize) {
+fn run_cluster(args: &Args, arrivals: &[Arrival], shards: usize) {
     let chip = ChipSpec::training();
     let cluster = ClusterService::start(
         chip,
@@ -200,12 +279,6 @@ fn run_cluster(args: &Args, shards: usize) {
         std::process::exit(1);
     });
 
-    let profile = LoadProfile::new(args.seed, args.rate_hz, args.duration).with_burst(
-        args.duration / 4,
-        args.duration / 8,
-        4.0,
-    );
-    let arrivals = profile.schedule();
     // Chaos intensity becomes kill frequency: at the default 10% the
     // window sees roughly one SIGKILL; at 100% roughly eight.
     let kill_events = if args.chaos > 0.0 {
@@ -220,112 +293,67 @@ fn run_cluster(args: &Args, shards: usize) {
         Vec::new()
     };
     println!(
-        "load: {} arrivals over {:?} (mean {} Hz, 4x burst every {:?}); cluster: {} shards, \
-         {} scheduled kills (chaos {:.0}%)",
-        arrivals.len(),
-        args.duration,
-        args.rate_hz,
-        args.duration / 4,
+        "{}; cluster: {} shards, {} scheduled kills (chaos {:.0}%)",
+        load_line(args, arrivals),
         shards,
         kill_events.len(),
         args.chaos * 100.0
     );
 
-    let start = Instant::now();
-    let mut tickets: Vec<Ticket> = Vec::new();
-    let mut rejected = 0u64;
     let mut kills_landed = 0u64;
     let mut next_kill = 0usize;
-    for arrival in &arrivals {
-        while next_kill < kill_events.len() && kill_events[next_kill].at <= arrival.at {
-            let target = kill_events[next_kill].shard;
-            if cluster.kill_shard(target) {
-                kills_landed += 1;
-                println!(
-                    "[{:6.1} ms] kill -9 shard {target}",
-                    kill_events[next_kill].at.as_secs_f64() * 1e3
-                );
+    let replayed = replay(
+        arrivals,
+        |at| {
+            while next_kill < kill_events.len() && kill_events[next_kill].at <= at {
+                let target = kill_events[next_kill].shard;
+                if cluster.kill_shard(target) {
+                    kills_landed += 1;
+                    println!(
+                        "[{:6.1} ms] kill -9 shard {target}",
+                        kill_events[next_kill].at.as_secs_f64() * 1e3
+                    );
+                }
+                next_kill += 1;
             }
-            next_kill += 1;
-        }
-        if let Some(wait) = arrival.at.checked_sub(start.elapsed()) {
-            std::thread::sleep(wait);
-        }
-        let priority = if arrival.interactive { Priority::Interactive } else { Priority::Sweep };
-        match cluster.submit(clean_spec_for(arrival.draw), priority) {
-            Ok(ticket) => tickets.push(ticket),
-            Err(PipelineError::Overloaded { .. }) => rejected += 1,
-            Err(err) => {
-                eprintln!("submit failed: {err}");
-                std::process::exit(1);
-            }
-        }
-    }
+        },
+        |draw, priority| cluster.submit(clean_spec_for(draw), priority),
+    );
 
     let drain = cluster.drain(Duration::from_secs(30));
     let health = cluster.health();
-    println!(
-        "admission: {} accepted, {} rejected (open-loop, no client retry)",
-        health.counters.accepted, rejected
-    );
-    println!(
-        "outcomes: {} ok, {} failed, {} shed, {} flushed at drain",
-        health.counters.completed_ok,
-        health.counters.failed,
-        health.counters.shed_deadline,
-        health.counters.drain_flushed
-    );
-    println!("latency ms p50/p95/p99: interactive {} | sweep {}", health.interactive, health.sweep);
-    println!(
-        "cluster: {} failovers, {} kills ({} landed live), {} respawns, {} cache hits, \
-         {} dispatcher panics, ring generation {}",
-        health.counters.failovers,
-        health.counters.kills,
-        kills_landed,
-        health.counters.respawns,
-        health.counters.cache_hits,
-        health.counters.worker_panics,
-        health.ring_generation
-    );
-    for shard in &health.shards {
+    report(&health.counters, [&health.interactive, &health.sweep], &replayed, &drain, || {
         println!(
-            "  shard {}: {} ok, {} failed, {} cache hits, {} kills, {} respawns, {} rewarmed",
-            shard.index,
-            shard.counters.completed_ok,
-            shard.counters.failed,
-            shard.counters.cache_hits,
-            shard.counters.kills,
-            shard.counters.respawns,
-            shard.counters.store_recovered
+            "cluster: {} failovers, {} kills ({} landed live), {} respawns, {} cache hits, \
+             {} dispatcher panics, ring generation {}",
+            health.counters.failovers,
+            health.counters.kills,
+            kills_landed,
+            health.counters.respawns,
+            health.counters.cache_hits,
+            health.counters.worker_panics,
+            health.ring_generation
         );
-    }
-    println!(
-        "drain: flushed {} queued, quiesced: {}, elapsed {:.1} ms",
-        drain.flushed_queued,
-        drain.quiesced,
-        drain.elapsed.as_secs_f64() * 1e3
-    );
-    assert!(drain.quiesced, "drain must quiesce within its deadline");
-    assert_eq!(
-        health.counters.terminal_states(),
-        health.counters.accepted,
-        "every accepted ticket must reach exactly one terminal state"
-    );
-    let settled = tickets.iter().filter(|t| t.try_result().is_some()).count();
-    assert_eq!(settled, tickets.len(), "every held ticket must be settled after drain");
+        for shard in &health.shards {
+            println!(
+                "  shard {}: {} ok, {} failed, {} cache hits, {} kills, {} respawns, {} rewarmed",
+                shard.index,
+                shard.counters.completed_ok,
+                shard.counters.failed,
+                shard.counters.cache_hits,
+                shard.counters.kills,
+                shard.counters.respawns,
+                shard.counters.store_recovered
+            );
+        }
+    });
 
-    write_json("serve_health", &ClusterServeReport { cluster: health, rejected });
+    write_json("serve_health", &ClusterServeReport { cluster: health, rejected: replayed.1 });
 }
 
-fn main() {
-    // When re-executed as a sandbox worker this serves jobs and never
-    // returns; in the ordinary invocation it is a no-op.
-    ascend_pipeline::run_worker_if_requested();
-    let args = Args::parse();
-    header("serve", "resident analysis service under seeded open-loop load");
-    if let Some(shards) = args.cluster {
-        return run_cluster(&args, shards);
-    }
+/// The default path: one resident [`AnalysisService`], in-process or,
+/// with `--sandboxed`, over supervised worker processes.
+fn run_service(args: &Args, arrivals: &[Arrival]) {
     let chip = ChipSpec::training();
     let config = ServiceConfig {
         workers: args.workers,
@@ -333,11 +361,7 @@ fn main() {
         policy: run_policy(),
         default_deadline: Some(Duration::from_secs(2)),
         seed: args.seed,
-        isolation: if args.sandboxed {
-            [Isolation::Sandboxed; 2]
-        } else {
-            [Isolation::InProcess; 2]
-        },
+        isolation: if args.sandboxed { Isolation::Sandboxed } else { Isolation::InProcess },
         sandbox: SandboxConfig {
             heartbeat_timeout: Duration::from_millis(300),
             wall_clock_limit: Duration::from_secs(2),
@@ -347,115 +371,75 @@ fn main() {
         ..ServiceConfig::default()
     };
     let service = AnalysisService::start(pipeline_for(&chip), config);
+    println!("{}, chaos {:.0}%", load_line(args, arrivals), args.chaos * 100.0);
 
-    let profile = LoadProfile::new(args.seed, args.rate_hz, args.duration).with_burst(
-        args.duration / 4,
-        args.duration / 8,
-        4.0,
-    );
-    let schedule = profile.schedule();
-    println!(
-        "load: {} arrivals over {:?} (mean {} Hz, 4x burst every {:?}), chaos {:.0}%",
-        schedule.len(),
-        args.duration,
-        args.rate_hz,
-        args.duration / 4,
-        args.chaos * 100.0
-    );
-
-    let start = Instant::now();
-    let mut tickets: Vec<Ticket> = Vec::new();
-    let mut rejected = 0u64;
-    for arrival in &schedule {
-        if let Some(wait) = arrival.at.checked_sub(start.elapsed()) {
-            std::thread::sleep(wait);
-        }
-        let request = if args.sandboxed {
-            let priority =
-                if arrival.interactive { Priority::Interactive } else { Priority::Sweep };
-            Request::from_spec(spec_for(arrival.draw, args.chaos), priority)
-        } else {
-            let op = operator_for(arrival.draw, args.chaos);
-            if arrival.interactive {
-                Request::interactive(op)
+    let replayed = replay(
+        arrivals,
+        |_| {},
+        |draw, priority| {
+            service.submit(if args.sandboxed {
+                Request::from_spec(spec_for(draw, args.chaos), priority)
             } else {
-                Request::sweep(op)
-            }
-        };
-        match service.submit(request) {
-            Ok(ticket) => tickets.push(ticket),
-            Err(PipelineError::Overloaded { .. }) => rejected += 1,
-            Err(err) => {
-                eprintln!("submit failed: {err}");
-                std::process::exit(1);
-            }
-        }
-    }
+                Request::new(operator_for(draw, args.chaos), priority)
+            })
+        },
+    );
 
     let drain = service.drain(Duration::from_secs(30));
     let health = service.health();
-    println!(
-        "admission: {} accepted, {} rejected (open-loop, no client retry)",
-        health.counters.accepted, rejected
-    );
-    println!(
-        "outcomes: {} ok, {} failed, {} shed, {} flushed at drain",
-        health.counters.completed_ok,
-        health.counters.failed,
-        health.counters.shed_deadline,
-        health.counters.drain_flushed
-    );
-    println!("latency ms p50/p95/p99: interactive {} | sweep {}", health.interactive, health.sweep);
-    println!(
-        "cache: {:.1}% hit rate ({} hits / {} misses); fidelity: {} simulated, {} analytical, \
-         {} audited",
-        health.cache.hit_rate() * 100.0,
-        health.cache.hits,
-        health.cache.misses,
-        health.fidelity.simulated,
-        health.fidelity.analytical,
-        health.fidelity.audited
-    );
-    if health.audit.any_activity() {
-        println!("audit: {}", health.audit);
-    }
-    println!(
-        "engine: {} events in {:.3}s ({:.0} events/s, {:.0} ns/event)",
-        health.engine.events,
-        health.engine.sim_secs,
-        health.engine.events_per_sec(),
-        health.engine.ns_per_event()
-    );
-    if args.sandboxed {
-        let s = &health.sandbox;
+    report(&health.counters, [&health.interactive, &health.sweep], &replayed, &drain, || {
         println!(
-            "sandbox: {} jobs ok on {} spawned ({} recycled); kills: {} hung, {} crashed, \
-             {} over-memory, {} protocol, {} preempted",
-            s.jobs_ok,
-            s.spawned,
-            s.recycled,
-            s.hung,
-            s.crashed,
-            s.over_memory,
-            s.protocol,
-            s.preempted
+            "cache: {:.1}% hit rate ({} hits / {} misses); fidelity: {} simulated, {} analytical, \
+             {} audited",
+            health.cache.hit_rate() * 100.0,
+            health.cache.hits,
+            health.cache.misses,
+            health.fidelity.simulated,
+            health.fidelity.analytical,
+            health.fidelity.audited
         );
-    }
-    println!(
-        "drain: flushed {} queued, quiesced: {}, elapsed {:.1} ms",
-        drain.flushed_queued,
-        drain.quiesced,
-        drain.elapsed.as_secs_f64() * 1e3
-    );
-    assert!(drain.quiesced, "drain must quiesce within its deadline");
-    assert_eq!(
-        health.counters.terminal_states(),
-        health.counters.accepted,
-        "every accepted ticket must reach exactly one terminal state"
-    );
-    let settled = tickets.iter().filter(|t| t.try_result().is_some()).count();
-    assert_eq!(settled, tickets.len(), "every held ticket must be settled after drain");
+        if health.audit.any_activity() {
+            println!("audit: {}", health.audit);
+        }
+        println!(
+            "engine: {} events in {:.3}s ({:.0} events/s, {:.0} ns/event)",
+            health.engine.events,
+            health.engine.sim_secs,
+            health.engine.events_per_sec(),
+            health.engine.ns_per_event()
+        );
+        if args.sandboxed {
+            let s = &health.sandbox;
+            println!(
+                "sandbox: {} jobs ok on {} spawned ({} recycled); kills: {} hung, {} crashed, \
+                 {} over-memory, {} protocol, {} preempted",
+                s.jobs_ok,
+                s.spawned,
+                s.recycled,
+                s.hung,
+                s.crashed,
+                s.over_memory,
+                s.protocol,
+                s.preempted
+            );
+        }
+    });
 
     println!("\n{}", service.pipeline().instrumentation_footer());
     write_json("serve_health", &health);
+}
+
+fn main() {
+    // When re-executed as a sandbox worker this serves jobs and never
+    // returns; in the ordinary invocation it is a no-op.
+    ascend_pipeline::run_worker_if_requested();
+    let args = Args::parse();
+    header("serve", "resident analysis service under seeded open-loop load");
+    let arrivals = LoadProfile::new(args.seed, args.rate_hz, args.duration)
+        .with_burst(args.duration / 4, args.duration / 8, 4.0)
+        .schedule();
+    match args.cluster {
+        Some(shards) => run_cluster(&args, &arrivals, shards),
+        None => run_service(&args, &arrivals),
+    }
 }

@@ -160,7 +160,8 @@ pub struct AuditStats {
     /// Audits whose comparison found a divergence.
     pub divergences: u64,
     /// Fingerprints quarantined (purged from memory and tombstoned on
-    /// disk).
+    /// disk). Every divergence quarantines exactly one fingerprint, so
+    /// this is reported from `divergences`, not counted separately.
     pub quarantined: u64,
     /// Shadows preempted (deadline/budget) before comparison — not
     /// divergences, not passes.
@@ -212,7 +213,6 @@ pub(crate) struct AuditJob {
 struct AuditLedger {
     audits: u64,
     divergences: u64,
-    quarantined: u64,
     aborted: u64,
     dropped: u64,
     /// Sliding window of recent audit outcomes (`true` = divergence).
@@ -308,14 +308,13 @@ impl Auditor {
     }
 
     /// Records a completed comparison. On divergence, advances the
-    /// quarantine counter and the demotion window; returns `true` when
+    /// divergence counter and the demotion window; returns `true` when
     /// this outcome just tripped demotion.
     pub(crate) fn record_outcome(&self, divergence: bool) -> bool {
         let mut ledger = crate::lock(&self.ledger);
         ledger.audits += 1;
         if divergence {
             ledger.divergences += 1;
-            ledger.quarantined += 1;
         }
         ledger.window.push_back(divergence);
         while ledger.window.len() > self.policy.window as usize {
@@ -342,7 +341,7 @@ impl Auditor {
         AuditStats {
             audits: ledger.audits,
             divergences: ledger.divergences,
-            quarantined: ledger.quarantined,
+            quarantined: ledger.divergences,
             aborted: ledger.aborted,
             dropped: ledger.dropped,
             pending: ledger.queue.len() as u64,

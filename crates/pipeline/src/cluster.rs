@@ -89,7 +89,7 @@ use crate::frontend::{
 };
 use crate::sandbox::{SandboxConfig, WorkSpec};
 use crate::stats::LatencySummary;
-use crate::transport::{FrameKind, FrameTransport};
+use crate::transport::FrameKind;
 use crate::worker::{
     await_reply, classify_exit, encode, idle_check, reply_verdict, start_worker, worker_program,
     ReadEvent, Reap, ReplyVerdict, ShardHello, ShardJob, ShardRequest, WorkerProcess,
@@ -112,6 +112,11 @@ use std::time::{Duration, Instant};
 /// per-shard keyspace shares within a few percent of `1/N`, so removing
 /// one of `N` shards remaps close to `1/N` of the keys.
 pub const DEFAULT_VIRTUAL_NODES: usize = 64;
+
+/// Consecutive failures after which a shard's circuit breaker is
+/// considered open (reported in [`ShardHealth::breaker_open`]; the
+/// breaker manifests as maximal respawn backoff, not eviction).
+const BREAKER_THRESHOLD: u32 = 3;
 
 /// Dispatcher tick: the cadence at which an idle dispatcher re-runs its
 /// maintenance pass (idle-death detection, respawn-backoff checks).
@@ -203,11 +208,6 @@ impl HashRing {
 pub struct ClusterConfig {
     /// Number of shard processes (minimum 1).
     pub shards: usize,
-    /// Virtual nodes per shard on the ring (minimum 1).
-    pub virtual_nodes: usize,
-    /// Classification thresholds every shard analyzes under (part of the
-    /// cache-key context, like a single pipeline's).
-    pub thresholds: Thresholds,
     /// Bound on queued (not yet executing) requests, cluster-wide. At
     /// capacity, [`submit`](ClusterService::submit) rejects with
     /// [`PipelineError::Overloaded`].
@@ -223,10 +223,6 @@ pub struct ClusterConfig {
     /// per shard per direction, surviving respawns). `recycle_after` is
     /// not used: shards are long-lived residents, not pooled workers.
     pub sandbox: SandboxConfig,
-    /// Consecutive failures after which a shard's circuit breaker is
-    /// considered open (reported in [`ShardHealth::breaker_open`]; the
-    /// breaker manifests as maximal respawn backoff, not eviction).
-    pub breaker_threshold: u32,
     /// Times one request may fail over to a successor after killing (or
     /// losing) its shard before it completes with the last error — the
     /// bound that stops a poisonous item from serially killing the
@@ -253,13 +249,10 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             shards: 2,
-            virtual_nodes: DEFAULT_VIRTUAL_NODES,
-            thresholds: Thresholds::default(),
             queue_capacity: 64,
             default_deadline: None,
             budget: None,
             sandbox: SandboxConfig::default(),
-            breaker_threshold: 3,
             max_failovers: 2,
             respawn_backoff: Duration::from_millis(25),
             respawn_backoff_max: Duration::from_secs(1),
@@ -497,8 +490,8 @@ impl ClusterService {
         chip.validate().map_err(PipelineError::Chip)?;
         let program = worker_program(&config.sandbox)?;
         let shards = config.shards.max(1);
-        let context = crate::context_fingerprint(&chip, &config.thresholds);
-        let ring = HashRing::new(shards, config.virtual_nodes);
+        let context = crate::context_fingerprint(&chip, &Thresholds::default());
+        let ring = HashRing::new(shards, DEFAULT_VIRTUAL_NODES);
         let mut state = ClusterState::default();
         state.shards.resize_with(shards, ShardSlot::default);
         let front = Frontend::new(
@@ -677,7 +670,7 @@ impl ClusterService {
                 queue_depth: slot.lanes.len(),
                 in_flight: slot.in_flight,
                 consecutive_failures: slot.consecutive_failures,
-                breaker_open: slot.consecutive_failures >= self.shared.config.breaker_threshold,
+                breaker_open: slot.consecutive_failures >= BREAKER_THRESHOLD,
                 pid: slot.pid,
                 counters: slot.counters,
             })
@@ -804,7 +797,7 @@ fn try_respawn(
         store_path: shared.shard_store_path(index).map(|p| p.display().to_string()),
         quarantine: tombstones.clone(),
         buggy: shared.config.buggy,
-        ..ShardHello::new(shared.chip.clone(), shared.config.thresholds, &shared.config.sandbox)
+        ..ShardHello::new(shared.chip.clone(), Thresholds::default(), &shared.config.sandbox)
     };
     let started = start_worker(
         &shared.program,
@@ -1221,7 +1214,6 @@ mod tests {
     fn default_config_is_sane() {
         let config = ClusterConfig::default();
         assert!(config.shards >= 1);
-        assert_eq!(config.virtual_nodes, DEFAULT_VIRTUAL_NODES);
         assert!(config.max_failovers >= 1);
         assert!(config.respawn_backoff < config.respawn_backoff_max);
     }

@@ -29,6 +29,10 @@
 //! (thresholds, cache capacity) is per-clone; changing thresholds changes
 //! the cache key context, so stale entries can never be returned.
 //!
+//! Each step exists once: the clones share two locks (the cache and one
+//! counter ledger), every uncached result runs one stage sequence, and
+//! every path that computes a result completes its miss in one place.
+//!
 //! # Examples
 //!
 //! ```
@@ -79,8 +83,8 @@ pub use store::{
 };
 pub use supervisor::{Fidelity, RunPolicy, SupervisorStats};
 pub use transport::{
-    encode_frame, read_frame, write_frame, Frame, FrameKind, FrameTransport, PipeTransport,
-    MAX_FRAME_LEN, WIRE_VERSION,
+    encode_frame, read_frame, write_frame, Frame, FrameKind, PipeTransport, MAX_FRAME_LEN,
+    WIRE_VERSION,
 };
 #[doc(hidden)]
 pub use worker::reencode_payload;
@@ -136,6 +140,28 @@ pub struct PipelineResult {
 }
 
 impl PipelineResult {
+    /// The result for `kernel` under cache key `fingerprint`: the one
+    /// place every stage sequence (simulated, oracle, audited, analytical
+    /// fallback) assembles its answer.
+    fn new(
+        kernel: &Kernel,
+        fingerprint: u64,
+        profile: Profile,
+        trace: Trace,
+        analysis: RooflineAnalysis,
+        fidelity: Fidelity,
+    ) -> Self {
+        PipelineResult {
+            kernel_name: kernel.name().to_owned(),
+            kernel_len: kernel.len(),
+            fingerprint,
+            profile,
+            trace,
+            analysis,
+            fidelity,
+        }
+    }
+
     /// End-to-end simulated execution time in cycles.
     #[must_use]
     pub fn cycles(&self) -> f64 {
@@ -233,7 +259,10 @@ impl EngineThroughput {
 
 /// How many results each [`Fidelity`] produced (shared across clones).
 /// Cache hits are not double-counted: every result is counted once, at
-/// production time.
+/// production time. Derived, not stored: `simulated` is
+/// [`StageTimings::runs`], `analytical` is
+/// [`SupervisorStats::fallbacks`] and `audited` is
+/// [`AuditStats::divergences`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FidelityMix {
     /// Results produced by full simulation.
@@ -264,26 +293,16 @@ pub struct StagePercentiles {
     pub total: LatencySummary,
 }
 
-/// One latency reservoir per stage, all seeded distinctly so replacement
+/// One latency reservoir per stage plus one for the total, in
+/// [`StagePercentiles`] order, all seeded distinctly so replacement
 /// streams do not correlate.
 #[derive(Debug)]
-struct StageReservoirs {
-    build: LatencyReservoir,
-    simulate: LatencyReservoir,
-    profile: LatencyReservoir,
-    analyze: LatencyReservoir,
-    total: LatencyReservoir,
-}
+struct StageReservoirs([LatencyReservoir; 5]);
 
 impl Default for StageReservoirs {
     fn default() -> Self {
-        StageReservoirs {
-            build: LatencyReservoir::new(DEFAULT_RESERVOIR_CAPACITY, 0xB01),
-            simulate: LatencyReservoir::new(DEFAULT_RESERVOIR_CAPACITY, 0x51E),
-            profile: LatencyReservoir::new(DEFAULT_RESERVOIR_CAPACITY, 0xF0F),
-            analyze: LatencyReservoir::new(DEFAULT_RESERVOIR_CAPACITY, 0xA11),
-            total: LatencyReservoir::new(DEFAULT_RESERVOIR_CAPACITY, 0x707),
-        }
+        let seeds = [0xB01, 0x51E, 0xF0F, 0xA11, 0x707];
+        StageReservoirs(seeds.map(|seed| LatencyReservoir::new(DEFAULT_RESERVOIR_CAPACITY, seed)))
     }
 }
 
@@ -303,16 +322,60 @@ struct BreakerState {
     open: bool,
 }
 
+/// Every counter the clones of a pipeline share, behind one lock: the
+/// cache counters, stage sums and reservoirs, supervision counters,
+/// breaker and engine throughput. A leaf lock: nothing else is locked
+/// while it is held.
+#[derive(Debug, Default)]
+struct Ledger {
+    cache: CacheStats,
+    timings: StageTimings,
+    latency: StageReservoirs,
+    supervisor: SupervisorStats,
+    breaker: BreakerState,
+    engine: EngineThroughput,
+}
+
+impl Ledger {
+    /// Books one uncached stage sequence.
+    fn book(&mut self, clock: &StageClock) {
+        let StageClock { start, built, simulated, profiled, analyzed, engine } = *clock;
+        let secs = [built - start, simulated - built, profiled - simulated, analyzed - profiled]
+            .map(|stage| stage.as_secs_f64());
+        self.timings.build_secs += secs[0];
+        self.timings.simulate_secs += secs[1];
+        self.timings.profile_secs += secs[2];
+        self.timings.analyze_secs += secs[3];
+        self.timings.runs += 1;
+        let total = (analyzed - start).as_secs_f64();
+        for (reservoir, secs) in self.latency.0.iter_mut().zip(secs.into_iter().chain([total])) {
+            reservoir.record(secs);
+        }
+        self.engine.absorb(engine);
+    }
+}
+
+/// Wall-clock marks of one uncached stage sequence, booked into the
+/// [`Ledger`] when its miss completes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StageClock {
+    start: Instant,
+    built: Instant,
+    simulated: Instant,
+    profiled: Instant,
+    analyzed: Instant,
+    /// The fast engine's event loop (zero when the oracle simulated).
+    engine: EngineThroughput,
+}
+
+/// A freshly computed result and the stage clock to book with it
+/// (`None` when another process ran the stages).
+pub(crate) type Computed = (PipelineResult, Option<StageClock>);
+
 #[derive(Debug, Default)]
 struct SharedState {
     cache: Mutex<ResultCache>,
-    stats: Mutex<CacheStats>,
-    timings: Mutex<StageTimings>,
-    latency: Mutex<StageReservoirs>,
-    supervisor: Mutex<SupervisorStats>,
-    breaker: Mutex<BreakerState>,
-    engine: Mutex<EngineThroughput>,
-    fidelity: Mutex<FidelityMix>,
+    ledger: Mutex<Ledger>,
 }
 
 /// The build → simulate → profile → analyze stage sequence with a
@@ -424,21 +487,6 @@ impl AnalysisPipeline {
         Ok(self.with_result_store(Arc::new(store)).expect("context was taken from self"))
     }
 
-    /// [`with_store`](AnalysisPipeline::with_store) with an explicit
-    /// [`StoreConfig`] (fsync policy, compaction thresholds).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`ResultStore::open_with_config`] reports.
-    pub fn with_store_config(
-        self,
-        path: impl AsRef<std::path::Path>,
-        config: StoreConfig,
-    ) -> Result<Self, StoreError> {
-        let store = ResultStore::open_with_config(path, self.context, config)?;
-        Ok(self.with_result_store(Arc::new(store)).expect("context was taken from self"))
-    }
-
     /// Attaches an already-open [`ResultStore`] — the seam for sharing
     /// one store across pipelines and for fault-injected test stores.
     ///
@@ -538,24 +586,35 @@ impl AnalysisPipeline {
             }
             (None, None) => return None,
         };
-        lock(&self.shared.stats).hits += 1;
+        lock(&self.shared.ledger).cache.hits += 1;
         Some(found)
     }
 
-    /// Write-through for a freshly computed result. Fallback results are
-    /// never persisted — a durable degraded estimate would outlive the
-    /// condition that forced it.
-    fn store_put(&self, key: u64, result: &PipelineResult) {
-        let Some(store) = &self.store else { return };
-        if result.fidelity != Fidelity::Simulated {
-            return;
-        }
-        match serde_json::to_string(result) {
-            Ok(json) => store.put(key, json.as_bytes()),
-            Err(err) => {
-                eprintln!("[pipeline] warning: result {key:#018x} not persisted: {err}");
+    /// Completes a miss, whichever path computed it: caches the result,
+    /// counts the miss, books the stage clock and writes the result
+    /// through to the store. Only simulated results are persisted — an
+    /// audited answer is barred by its tombstone, and a durable degraded
+    /// estimate would outlive the condition that forced it.
+    fn finish_miss(&self, key: u64, (result, clock): Computed) -> Arc<PipelineResult> {
+        let result = Arc::new(result);
+        self.insert(key, Arc::clone(&result));
+        {
+            let mut ledger = lock(&self.shared.ledger);
+            ledger.cache.misses += 1;
+            if let Some(clock) = &clock {
+                ledger.book(clock);
             }
         }
+        if let Some(store) = self.store.as_ref().filter(|_| result.fidelity == Fidelity::Simulated)
+        {
+            match serde_json::to_string(&*result) {
+                Ok(json) => store.put(key, json.as_bytes()),
+                Err(err) => {
+                    eprintln!("[pipeline] warning: result {key:#018x} not persisted: {err}");
+                }
+            }
+        }
+        result
     }
 
     /// The chip this pipeline simulates.
@@ -590,11 +649,8 @@ impl AnalysisPipeline {
         // Compute outside the cache lock so batch workers make progress
         // concurrently. Two workers racing on the same key both miss; the
         // later insert is a no-op.
-        let result = Arc::new(self.execute(op, key)?);
-        lock(&self.shared.stats).misses += 1;
-        self.insert(key, Arc::clone(&result));
-        self.store_put(key, &result);
-        Ok(result)
+        let computed = self.execute_on(op, key, &self.simulator)?;
+        Ok(self.finish_miss(key, computed))
     }
 
     /// [`run`](AnalysisPipeline::run) with panic isolation: a panicking
@@ -669,34 +725,28 @@ impl AnalysisPipeline {
     /// and one is provided — the sandboxed path withholds it for hostile
     /// work whose `build` must never run in this process).
     ///
-    /// The caller has already checked the cache for `key`; a success is
-    /// inserted under it.
+    /// The caller has already checked the cache for `key`; a success
+    /// completes the miss under it.
     pub(crate) fn supervise_loop(
         &self,
         key: u64,
         policy: &RunPolicy,
         cancel: Option<&CancelToken>,
         fallback_op: Option<&dyn Operator>,
-        attempt: &mut dyn FnMut() -> Result<PipelineResult, PipelineError>,
+        attempt: &mut dyn FnMut() -> Result<Computed, PipelineError>,
     ) -> Result<Arc<PipelineResult>, PipelineError> {
-        lock(&self.shared.supervisor).supervised_runs += 1;
-
-        if policy.breaker_threshold > 0 {
-            let breaker = lock(&self.shared.breaker);
-            if breaker.open {
-                let consecutive = breaker.consecutive;
-                drop(breaker);
-                lock(&self.shared.supervisor).breaker_short_circuits += 1;
-                if policy.fallback {
-                    if let Some(op) = fallback_op {
-                        if let Ok(result) = self.analytic_fallback(op, key) {
-                            lock(&self.shared.supervisor).fallbacks += 1;
-                            return Ok(result);
-                        }
-                    }
-                }
-                return Err(PipelineError::CircuitOpen { consecutive_failures: consecutive });
+        let short_circuit = {
+            let mut ledger = lock(&self.shared.ledger);
+            ledger.supervisor.supervised_runs += 1;
+            let open = policy.breaker_threshold > 0 && ledger.breaker.open;
+            if open {
+                ledger.supervisor.breaker_short_circuits += 1;
             }
+            open.then_some(ledger.breaker.consecutive)
+        };
+        if let Some(consecutive) = short_circuit {
+            let err = PipelineError::CircuitOpen { consecutive_failures: consecutive };
+            return self.fall_back(policy, fallback_op, key, err);
         }
 
         let mut last_err: Option<PipelineError> = None;
@@ -708,38 +758,31 @@ impl AnalysisPipeline {
                 if cancel.is_some_and(CancelToken::is_signalled) {
                     break;
                 }
-                lock(&self.shared.supervisor).retries += 1;
+                lock(&self.shared.ledger).supervisor.retries += 1;
                 let delay = policy.backoff_delay(key, round);
                 if !delay.is_zero() {
                     std::thread::sleep(delay);
                 }
             }
             match attempt() {
-                Ok(result) => {
+                Ok(computed) => {
                     if policy.breaker_threshold > 0 {
-                        let mut breaker = lock(&self.shared.breaker);
-                        if !breaker.open {
-                            breaker.consecutive = 0;
+                        let mut ledger = lock(&self.shared.ledger);
+                        if !ledger.breaker.open {
+                            ledger.breaker.consecutive = 0;
                         }
                     }
-                    lock(&self.shared.stats).misses += 1;
-                    let result = Arc::new(result);
-                    self.insert(key, Arc::clone(&result));
-                    self.store_put(key, &result);
-                    return Ok(result);
+                    return Ok(self.finish_miss(key, computed));
                 }
                 Err(err) => {
-                    {
-                        let mut sup = lock(&self.shared.supervisor);
-                        match &err {
-                            PipelineError::Runtime(SimError::Cancelled { .. }) => {
-                                sup.deadline_preemptions += 1;
-                            }
-                            PipelineError::Runtime(SimError::BudgetExceeded { .. }) => {
-                                sup.budget_trips += 1;
-                            }
-                            _ => {}
+                    match &err {
+                        PipelineError::Runtime(SimError::Cancelled { .. }) => {
+                            lock(&self.shared.ledger).supervisor.deadline_preemptions += 1;
                         }
+                        PipelineError::Runtime(SimError::BudgetExceeded { .. }) => {
+                            lock(&self.shared.ledger).supervisor.budget_trips += 1;
+                        }
+                        _ => {}
                     }
                     let transient = err.is_transient();
                     last_err = Some(err);
@@ -759,31 +802,40 @@ impl AnalysisPipeline {
         // An externally preempted item is not a backend-health signal:
         // it must neither feed the breaker nor degrade to the analytical
         // estimate — the caller asked it to stop, so report that.
-        let transient = err.is_transient() && !cancel.is_some_and(CancelToken::is_signalled);
-        if transient {
-            // Only backend-health failures feed the breaker: a batch of
-            // invalid operators must not lock healthy items out of the
-            // simulator.
-            lock(&self.shared.supervisor).hard_failures += 1;
+        if !err.is_transient() || cancel.is_some_and(CancelToken::is_signalled) {
+            return Err(err);
+        }
+        // Only backend-health failures feed the breaker: a batch of
+        // invalid operators must not lock healthy items out of the
+        // simulator.
+        {
+            let mut ledger = lock(&self.shared.ledger);
+            ledger.supervisor.hard_failures += 1;
             if policy.breaker_threshold > 0 {
-                let mut breaker = lock(&self.shared.breaker);
-                breaker.consecutive += 1;
-                if !breaker.open && breaker.consecutive >= policy.breaker_threshold {
-                    breaker.open = true;
-                    drop(breaker);
-                    lock(&self.shared.supervisor).breaker_trips += 1;
-                }
-            }
-            if policy.fallback {
-                if let Some(op) = fallback_op {
-                    if let Ok(result) = self.analytic_fallback(op, key) {
-                        lock(&self.shared.supervisor).fallbacks += 1;
-                        return Ok(result);
-                    }
+                ledger.breaker.consecutive += 1;
+                if !ledger.breaker.open && ledger.breaker.consecutive >= policy.breaker_threshold {
+                    ledger.breaker.open = true;
+                    ledger.supervisor.breaker_trips += 1;
                 }
             }
         }
-        Err(err)
+        self.fall_back(policy, fallback_op, key, err)
+    }
+
+    /// Answers a failed supervised item with the analytical estimate of
+    /// `fallback_op` when the policy allows and the estimate can be
+    /// built; otherwise reports `err`.
+    fn fall_back(
+        &self,
+        policy: &RunPolicy,
+        fallback_op: Option<&dyn Operator>,
+        key: u64,
+        err: PipelineError,
+    ) -> Result<Arc<PipelineResult>, PipelineError> {
+        match fallback_op.filter(|_| policy.fallback) {
+            Some(op) => self.analytic_fallback(op, key).map_err(|_| err),
+            None => Err(err),
+        }
     }
 
     /// One supervised attempt: the stage sequence on a simulator derived
@@ -795,7 +847,7 @@ impl AnalysisPipeline {
         key: u64,
         policy: &RunPolicy,
         cancel: Option<&CancelToken>,
-    ) -> Result<PipelineResult, PipelineError> {
+    ) -> Result<Computed, PipelineError> {
         // The attempt's token composes the external cancellation flag
         // (shared with the service's drain token) with the policy's
         // per-attempt deadline, whichever applies.
@@ -827,7 +879,8 @@ impl AnalysisPipeline {
 
     /// Builds the degraded result: the kernel's closed-form analytical
     /// roofline estimate with an empty trace, tagged
-    /// [`Fidelity::AnalyticalFallback`]. Never cached.
+    /// [`Fidelity::AnalyticalFallback`] and counted as a supervision
+    /// fallback. Never cached.
     fn analytic_fallback(
         &self,
         op: &dyn Operator,
@@ -845,16 +898,10 @@ impl AnalysisPipeline {
             instruction_count: kernel.len() as u64,
         };
         let analysis = analyze(&profile, &self.chip, &self.thresholds);
-        lock(&self.shared.fidelity).analytical += 1;
-        Ok(Arc::new(PipelineResult {
-            kernel_name: kernel.name().to_owned(),
-            kernel_len: kernel.len(),
-            fingerprint: key,
-            profile,
-            trace: Trace::from_parts(kernel.name(), Vec::new(), estimate.total_cycles),
-            analysis,
-            fidelity: Fidelity::AnalyticalFallback,
-        }))
+        lock(&self.shared.ledger).supervisor.fallbacks += 1;
+        let trace = Trace::from_parts(kernel.name(), Vec::new(), estimate.total_cycles);
+        let fidelity = Fidelity::AnalyticalFallback;
+        Ok(Arc::new(PipelineResult::new(&kernel, key, profile, trace, analysis, fidelity)))
     }
 
     /// Runs independent operators concurrently on `workers` scoped worker
@@ -954,53 +1001,48 @@ impl AnalysisPipeline {
     pub fn analyze_profile(&self, profile: &Profile) -> RooflineAnalysis {
         let start = Instant::now();
         let analysis = analyze(profile, &self.chip, &self.thresholds);
-        lock(&self.shared.timings).analyze_secs += start.elapsed().as_secs_f64();
+        lock(&self.shared.ledger).timings.analyze_secs += start.elapsed().as_secs_f64();
         analysis
     }
 
     /// Current hit/miss/eviction counters (shared across clones).
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        *lock(&self.shared.stats)
+        lock(&self.shared.ledger).cache
     }
 
     /// Current supervision counters (shared across clones).
     #[must_use]
     pub fn supervisor_stats(&self) -> SupervisorStats {
-        *lock(&self.shared.supervisor)
+        lock(&self.shared.ledger).supervisor
     }
 
     /// Whether the supervision circuit breaker is currently open.
     #[must_use]
     pub fn breaker_is_open(&self) -> bool {
-        lock(&self.shared.breaker).open
+        lock(&self.shared.ledger).breaker.open
     }
 
     /// Closes the circuit breaker and zeroes its consecutive-failure
     /// counter — the explicit recovery step after the backend (chip
     /// spec, fault plan, host load) has been fixed.
     pub fn reset_breaker(&self) {
-        *lock(&self.shared.breaker) = BreakerState::default();
+        lock(&self.shared.ledger).breaker = BreakerState::default();
     }
 
     /// Cumulative per-stage wall times (shared across clones).
     #[must_use]
     pub fn timings(&self) -> StageTimings {
-        *lock(&self.shared.timings)
+        lock(&self.shared.ledger).timings
     }
 
     /// Per-stage latency percentiles from the shared reservoirs (cache
     /// misses only — hits skip every stage).
     #[must_use]
     pub fn stage_percentiles(&self) -> StagePercentiles {
-        let latency = lock(&self.shared.latency);
-        StagePercentiles {
-            build: latency.build.summary(),
-            simulate: latency.simulate.summary(),
-            profile: latency.profile.summary(),
-            analyze: latency.analyze.summary(),
-            total: latency.total.summary(),
-        }
+        let [build, simulate, profile, analyze, total] =
+            lock(&self.shared.ledger).latency.0.each_ref().map(LatencyReservoir::summary);
+        StagePercentiles { build, simulate, profile, analyze, total }
     }
 
     /// Number of results currently cached.
@@ -1014,13 +1056,19 @@ impl AnalysisPipeline {
     /// with derived events/sec and ns/event.
     #[must_use]
     pub fn engine_throughput(&self) -> EngineThroughput {
-        *lock(&self.shared.engine)
+        lock(&self.shared.ledger).engine
     }
 
-    /// How many results each fidelity produced (shared across clones).
+    /// How many results each fidelity produced (shared across clones),
+    /// derived from the counters that already count each one (see
+    /// [`FidelityMix`]).
     #[must_use]
     pub fn fidelity_mix(&self) -> FidelityMix {
-        *lock(&self.shared.fidelity)
+        let (simulated, analytical) = {
+            let ledger = lock(&self.shared.ledger);
+            (ledger.timings.runs, ledger.supervisor.fallbacks)
+        };
+        FidelityMix { simulated, analytical, audited: self.audit_stats().divergences }
     }
 
     /// Audit-tier counters (all zero without an attached audit policy).
@@ -1067,17 +1115,8 @@ impl AnalysisPipeline {
 
     /// Clears the cache and zeroes all counters (shared across clones).
     pub fn reset(&self) {
-        let mut cache = lock(&self.shared.cache);
-        cache.map.clear();
-        cache.order.clear();
-        drop(cache);
-        *lock(&self.shared.stats) = CacheStats::default();
-        *lock(&self.shared.timings) = StageTimings::default();
-        *lock(&self.shared.latency) = StageReservoirs::default();
-        *lock(&self.shared.supervisor) = SupervisorStats::default();
-        *lock(&self.shared.breaker) = BreakerState::default();
-        *lock(&self.shared.engine) = EngineThroughput::default();
-        *lock(&self.shared.fidelity) = FidelityMix::default();
+        *lock(&self.shared.cache) = ResultCache::default();
+        *lock(&self.shared.ledger) = Ledger::default();
         if let Some(auditor) = &self.auditor {
             auditor.reset();
         }
@@ -1160,25 +1199,22 @@ impl AnalysisPipeline {
         out
     }
 
-    /// The uncached stage sequence on the pipeline's own simulator.
-    fn execute(&self, op: &dyn Operator, key: u64) -> Result<PipelineResult, SimError> {
-        self.execute_on(op, key, &self.simulator)
-    }
-
-    /// The uncached stage sequence on an explicit simulator (the
-    /// supervised path substitutes one carrying a deadline token and/or
-    /// a budget override).
+    /// The uncached stage sequence on `simulator` (the pipeline's own,
+    /// or the supervised path's copy carrying a deadline token and/or a
+    /// budget override). The simulate stage runs the fast engine, or the
+    /// [`ReferenceSimulator`] under the same budget and cancellation once
+    /// the audit tier has demoted the pipeline. Oracle results are
+    /// trustworthy simulations — they keep [`Fidelity::Simulated`] and
+    /// may be cached and persisted — but they never feed the fast
+    /// engine's throughput counters, the chaos perturbation is *not*
+    /// applied (the modelled bug lives in the fast engine) and they are
+    /// never audited.
     fn execute_on(
         &self,
         op: &dyn Operator,
         key: u64,
         simulator: &Simulator,
-    ) -> Result<PipelineResult, SimError> {
-        // A demoted pipeline no longer trusts the fast engine at all:
-        // every uncached request runs on the reference oracle.
-        if self.auditor.as_deref().is_some_and(Auditor::is_demoted) {
-            return self.execute_demoted(op, key, simulator);
-        }
+    ) -> Result<Computed, SimError> {
         // The engine polls its token every event, but the other stages
         // would otherwise run to completion after a cancellation: poll at
         // every stage boundary so a deadline lapsing during a long build
@@ -1189,53 +1225,55 @@ impl AnalysisPipeline {
         let kernel = op.build(&self.chip)?;
         let built = Instant::now();
         poll_stage(cancel, "simulate")?;
-        // One engine pass feeds both sinks: the full-record collector
-        // (results keep their trace) and the streaming metrics the
-        // profile stage consumes without re-walking kernel + trace.
-        let mut sinks = (TraceCollector::new(), MetricsSink::new());
-        let summary = simulator.simulate_into(&kernel, &mut sinks)?;
-        let engine_done = Instant::now();
-        let (collector, metrics) = sinks;
-        let mut trace = collector.into_trace(kernel.name(), summary.total_cycles);
-        let mut perturbed = false;
-        if let Some(bug) = &self.buggy {
-            if bug.afflicts(key) {
-                trace = perturb_trace(bug, key, &trace);
-                perturbed = true;
+        let demoted = self.is_demoted();
+        let (trace, metrics, engine) = if demoted {
+            let mut reference =
+                ReferenceSimulator::new(self.chip.clone()).with_budget(simulator.budget());
+            if let Some(token) = cancel {
+                reference = reference.with_cancel(token.clone());
             }
-        }
+            (reference.simulate(&kernel)?, None, EngineThroughput::default())
+        } else {
+            // One engine pass feeds both sinks: the full-record collector
+            // (results keep their trace) and the streaming metrics the
+            // profile stage consumes without re-walking kernel + trace.
+            let mut sinks = (TraceCollector::new(), MetricsSink::new());
+            let summary = simulator.simulate_into(&kernel, &mut sinks)?;
+            let engine = EngineThroughput {
+                events: summary.events,
+                sim_secs: built.elapsed().as_secs_f64(),
+            };
+            let (collector, metrics) = sinks;
+            let trace = collector.into_trace(kernel.name(), summary.total_cycles);
+            match self.buggy.filter(|bug| bug.afflicts(key)) {
+                Some(bug) => (perturb_trace(&bug, key, &trace), None, engine),
+                None => (trace, Some((metrics, summary.total_cycles)), engine),
+            }
+        };
         let simulated = Instant::now();
         poll_stage(cancel, "profile")?;
-        // A perturbed trace must stay *self-consistent* — profile
-        // re-derived from it, not from the untouched metrics stream —
-        // or the lie would be visible without an audit.
-        let profile = if perturbed {
-            Profile::collect(&kernel, &trace)
-        } else {
-            Profile::from_metrics(&metrics, summary.total_cycles)
+        // Without the engine's metrics stream (an oracle or perturbed
+        // trace) the profile is re-derived from the trace itself; a
+        // perturbed trace must stay *self-consistent*, or the lie would
+        // be visible without an audit.
+        let profile = match &metrics {
+            Some((metrics, total_cycles)) => Profile::from_metrics(metrics, *total_cycles),
+            None => Profile::collect(&kernel, &trace),
         };
         let profiled = Instant::now();
         poll_stage(cancel, "analyze")?;
         let analysis = analyze(&profile, &self.chip, &self.thresholds);
-        let analyzed = Instant::now();
-
-        lock(&self.shared.engine).absorb(EngineThroughput {
-            events: summary.events,
-            sim_secs: (engine_done - built).as_secs_f64(),
+        let clock = Some(StageClock {
+            start,
+            built,
+            simulated,
+            profiled,
+            analyzed: Instant::now(),
+            engine,
         });
-        lock(&self.shared.fidelity).simulated += 1;
-        self.record_stage_timings(start, built, simulated, profiled, analyzed);
-
-        let result = PipelineResult {
-            kernel_name: kernel.name().to_owned(),
-            kernel_len: kernel.len(),
-            fingerprint: key,
-            profile,
-            trace,
-            analysis,
-            fidelity: Fidelity::Simulated,
-        };
-        if let Some(auditor) = &self.auditor {
+        let result =
+            PipelineResult::new(&kernel, key, profile, trace, analysis, Fidelity::Simulated);
+        if let Some(auditor) = self.auditor.as_deref().filter(|_| !demoted) {
             if auditor.should_audit(key) {
                 if auditor.deferred() {
                     auditor.enqueue(AuditJob { key, kernel, result: Arc::new(result.clone()) });
@@ -1243,82 +1281,11 @@ impl AnalysisPipeline {
                     // Inline mode: the divergent result is never
                     // returned, cached, or persisted — the caller gets
                     // the oracle's answer in its place.
-                    return Ok(oracle);
+                    return Ok((oracle, clock));
                 }
             }
         }
-        Ok(result)
-    }
-
-    /// The demoted stage sequence: identical shape to the fast path, but
-    /// simulation runs on the [`ReferenceSimulator`] under the same
-    /// budget and cancellation as the supervised attempt would have
-    /// used. Oracle results are trustworthy simulations — they keep
-    /// [`Fidelity::Simulated`] and may be cached and persisted — but
-    /// they never feed the fast engine's throughput counters, and the
-    /// chaos perturbation is *not* applied (the modelled bug lives in
-    /// the fast engine).
-    fn execute_demoted(
-        &self,
-        op: &dyn Operator,
-        key: u64,
-        simulator: &Simulator,
-    ) -> Result<PipelineResult, SimError> {
-        let cancel = simulator.cancel_token();
-        poll_stage(cancel, "build")?;
-        let start = Instant::now();
-        let kernel = op.build(&self.chip)?;
-        let built = Instant::now();
-        poll_stage(cancel, "simulate")?;
-        let mut reference =
-            ReferenceSimulator::new(self.chip.clone()).with_budget(simulator.budget());
-        if let Some(token) = cancel {
-            reference = reference.with_cancel(token.clone());
-        }
-        let trace = reference.simulate(&kernel)?;
-        let simulated = Instant::now();
-        poll_stage(cancel, "profile")?;
-        let profile = Profile::collect(&kernel, &trace);
-        let profiled = Instant::now();
-        poll_stage(cancel, "analyze")?;
-        let analysis = analyze(&profile, &self.chip, &self.thresholds);
-        let analyzed = Instant::now();
-
-        lock(&self.shared.fidelity).simulated += 1;
-        self.record_stage_timings(start, built, simulated, profiled, analyzed);
-
-        Ok(PipelineResult {
-            kernel_name: kernel.name().to_owned(),
-            kernel_len: kernel.len(),
-            fingerprint: key,
-            profile,
-            trace,
-            analysis,
-            fidelity: Fidelity::Simulated,
-        })
-    }
-
-    fn record_stage_timings(
-        &self,
-        start: Instant,
-        built: Instant,
-        simulated: Instant,
-        profiled: Instant,
-        analyzed: Instant,
-    ) {
-        let mut timings = lock(&self.shared.timings);
-        timings.build_secs += (built - start).as_secs_f64();
-        timings.simulate_secs += (simulated - built).as_secs_f64();
-        timings.profile_secs += (profiled - simulated).as_secs_f64();
-        timings.analyze_secs += (analyzed - profiled).as_secs_f64();
-        timings.runs += 1;
-        drop(timings);
-        let mut latency = lock(&self.shared.latency);
-        latency.build.record((built - start).as_secs_f64());
-        latency.simulate.record((simulated - built).as_secs_f64());
-        latency.profile.record((profiled - simulated).as_secs_f64());
-        latency.analyze.record((analyzed - profiled).as_secs_f64());
-        latency.total.record((analyzed - start).as_secs_f64());
+        Ok((result, clock))
     }
 
     /// Shadow re-executes `served` on the reference oracle and compares
@@ -1354,10 +1321,9 @@ impl AnalysisPipeline {
             return None;
         };
         eprintln!("[pipeline] audit: {report}");
-        self.quarantine(key);
+        self.quarantine_key(key);
         let profile = Profile::collect(kernel, &oracle_trace);
         let analysis = analyze(&profile, &self.chip, &self.thresholds);
-        lock(&self.shared.fidelity).audited += 1;
         if auditor.record_outcome(true) {
             eprintln!(
                 "[pipeline] audit: divergence breaker tripped ({} in window of {}); \
@@ -1365,20 +1331,17 @@ impl AnalysisPipeline {
                 policy.demote_after, policy.window,
             );
         }
-        Some(PipelineResult {
-            kernel_name: kernel.name().to_owned(),
-            kernel_len: kernel.len(),
-            fingerprint: key,
-            profile,
-            trace: oracle_trace,
-            analysis,
-            fidelity: Fidelity::Audited,
-        })
+        let fidelity = Fidelity::Audited;
+        Some(PipelineResult::new(kernel, key, profile, oracle_trace, analysis, fidelity))
     }
 
-    /// Purges `key` everywhere a divergent result could be served from:
-    /// the memory cache now, and the durable store forever (tombstone).
-    fn quarantine(&self, key: u64) {
+    /// Quarantines cache key `key`: the memory entry (if any) is purged
+    /// and, with a store attached, a durable tombstone bars the
+    /// fingerprint from ever being served or re-persisted. The audit
+    /// tier's path for a divergent result — public so a cluster peer's
+    /// verdict can be applied here ([`ClusterService::quarantine`]
+    /// broadcasts through it). Idempotent.
+    pub fn quarantine_key(&self, key: u64) {
         let mut cache = lock(&self.shared.cache);
         if cache.map.remove(&key).is_some() {
             cache.order.retain(|&k| k != key);
@@ -1389,28 +1352,22 @@ impl AnalysisPipeline {
         }
     }
 
-    /// Quarantines cache key `key` by hand: the memory entry (if any) is
-    /// purged and, with a store attached, a durable tombstone bars the
-    /// fingerprint from ever being served or re-persisted. The same path
-    /// the audit tier takes for a divergent result — exposed so a
-    /// cluster peer's verdict can be applied here
-    /// ([`ClusterService::quarantine`] broadcasts through it). Idempotent.
-    pub fn quarantine_key(&self, key: u64) {
-        self.quarantine(key);
-    }
-
+    /// Caches `result` under `key`, evicting FIFO past the capacity.
     fn insert(&self, key: u64, result: Arc<PipelineResult>) {
         let mut cache = lock(&self.shared.cache);
+        let mut evicted = 0;
         if cache.map.insert(key, result).is_none() {
             cache.order.push_back(key);
             while cache.order.len() > self.capacity {
                 if let Some(oldest) = cache.order.pop_front() {
                     cache.map.remove(&oldest);
-                    drop(cache);
-                    lock(&self.shared.stats).evictions += 1;
-                    cache = lock(&self.shared.cache);
+                    evicted += 1;
                 }
             }
+        }
+        drop(cache);
+        if evicted > 0 {
+            lock(&self.shared.ledger).cache.evictions += evicted;
         }
     }
 }

@@ -42,7 +42,7 @@
 //! for the analytical fallback (its `build` must not run in the parent).
 
 use crate::supervisor::RunPolicy;
-use crate::transport::{FrameKind, FrameTransport};
+use crate::transport::FrameKind;
 use crate::worker::{
     await_reply, classify_exit, encode, idle_check, reply_verdict, start_worker, worker_program,
     ReadEvent, Reap, ReplyVerdict, ShardHello, ShardJob, ShardRequest, WorkerProcess,
@@ -317,7 +317,10 @@ impl SandboxedExecutor {
         let fallback_op: Option<&dyn Operator> =
             if work.fallback_eligible() { Some(probe.as_ref()) } else { None };
         self.pipeline.supervise_loop(key, policy, cancel, fallback_op, &mut || {
-            self.execute_raw(work, key, policy, cancel).map_err(|err| self.record_kill(err))
+            // The child ran the stages: there is no stage clock to book.
+            let result =
+                self.execute_raw(work, key, policy, cancel).map_err(|err| self.record_kill(err))?;
+            Ok((result, None))
         })
     }
 

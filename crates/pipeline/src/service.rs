@@ -14,10 +14,10 @@
 //!   a worker that finds every lane empty spends the slack on one
 //!   deferred shadow audit ([`ServiceConfig::audit`]) below every
 //!   priority class.
-//! * **Isolation tiers.** Each priority class executes
+//! * **Isolation tiers.** The service executes
 //!   [`Isolation::InProcess`] (the default) or
 //!   [`Isolation::Sandboxed`] — spec-based requests of a sandboxed
-//!   class run in supervised worker processes with heartbeats, a
+//!   service run in supervised worker processes with heartbeats, a
 //!   wall-clock kill, and an RSS budget, so a hostile item costs one
 //!   child process instead of the service.
 //! * **Deadline narrowing.** What is left of a request's deadline
@@ -64,11 +64,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Where a priority class executes its work.
+/// Where the service executes its work.
 ///
 /// Only spec-based requests ([`Request::from_spec`] and friends) can
 /// actually cross a process boundary; a `Box<dyn Operator>` request runs
-/// in-process regardless of its class's tier, because a trait object
+/// in-process regardless of the service's tier, because a trait object
 /// cannot be serialized into a job frame.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Isolation {
@@ -122,7 +122,7 @@ impl Request {
     }
 
     /// A request described by a serializable [`WorkSpec`] — the form
-    /// that can execute in a sandboxed worker process when its class's
+    /// that can execute in a sandboxed worker process when the service's
     /// [`Isolation`] tier says so.
     #[must_use]
     pub fn from_spec(spec: impl Into<WorkSpec>, priority: Priority) -> Self {
@@ -167,12 +167,11 @@ pub struct ServiceConfig {
     pub default_deadline: Option<Duration>,
     /// Seed of the reservoirs' replacement streams.
     pub seed: u64,
-    /// Execution tier per priority class, indexed like the queues
-    /// (`[interactive, sweep]`). Only spec-based requests honor a
-    /// [`Isolation::Sandboxed`] tier; trait-object requests stay
+    /// Execution tier of every request. Only spec-based requests honor
+    /// a [`Isolation::Sandboxed`] tier; trait-object requests stay
     /// in-process.
-    pub isolation: [Isolation; Priority::COUNT],
-    /// Tuning of the sandboxed tier (ignored while both classes are
+    pub isolation: Isolation,
+    /// Tuning of the sandboxed tier (ignored under
     /// [`Isolation::InProcess`]; workers spawn lazily on first use).
     pub sandbox: SandboxConfig,
     /// When set, the service opens (or recovers) a durable
@@ -197,7 +196,7 @@ impl Default for ServiceConfig {
             policy: RunPolicy::default(),
             default_deadline: None,
             seed: 0x5EED_CAFE,
-            isolation: [Isolation::InProcess; Priority::COUNT],
+            isolation: Isolation::InProcess,
             sandbox: SandboxConfig::default(),
             store_path: None,
             audit: None,
@@ -238,7 +237,7 @@ pub struct HealthSnapshot {
     pub breaker_open: bool,
     /// The monotonic event counters.
     pub counters: FrontendCounters,
-    /// Counters of the sandboxed tier (all zero while every class runs
+    /// Counters of the sandboxed tier (all zero while the service runs
     /// in-process): spawns, recycles, and the kill taxonomy.
     pub sandbox: SandboxCounters,
     /// Sojourn-latency percentiles (admission → terminal state, seconds)
@@ -471,8 +470,8 @@ fn worker_loop(shared: &ServiceShared) {
 }
 
 /// One item's execution: the per-item deadline is narrowed to the time
-/// it has left, and the class's [`Isolation`] tier picks the execution
-/// path.
+/// it has left, and the service's [`Isolation`] tier picks the
+/// execution path.
 fn execute_job(
     shared: &ServiceShared,
     work: &Work,
@@ -488,7 +487,7 @@ fn execute_job(
         policy.deadline = Some(policy.deadline.map_or(remaining, |p| p.min(remaining)));
     }
     let cancel = Some(shared.front.drain_token());
-    match (work, shared.config.isolation[class]) {
+    match (work, shared.config.isolation) {
         (Work::Spec(spec), Isolation::Sandboxed) => {
             shared.executor.run_supervised(spec, &policy, cancel)
         }
@@ -496,7 +495,7 @@ fn execute_job(
             shared.pipeline.run_supervised(spec.instantiate().as_ref(), &policy, cancel)
         }
         // A trait object cannot cross the process boundary: it runs
-        // in-process regardless of the class's tier.
+        // in-process regardless of the tier.
         (Work::Dyn(op), _) => shared.pipeline.run_supervised(op.as_ref(), &policy, cancel),
     }
 }

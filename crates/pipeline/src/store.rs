@@ -36,6 +36,11 @@
 //! * applies **last-wins** — a fingerprint appended twice resolves to the
 //!   later valid record, so overwrites need no in-place mutation.
 //!
+//! [`ResultStore::verify`] runs the same header check and record scan
+//! read-only; the two differ only in which counts they report. One
+//! segment mutex guards the file, the index and the quarantine set, and
+//! every record is framed by one encoder and written by one append.
+//!
 //! # Degradation
 //!
 //! The store is a cache, not a source of truth: every record can be
@@ -65,7 +70,7 @@ use std::fs::OpenOptions;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// First bytes of every store segment.
 pub const STORE_MAGIC: [u8; 4] = *b"ASTR";
@@ -237,10 +242,10 @@ impl IndexEntry {
     }
 }
 
-/// The mutable file-side state, guarded by one mutex. Lock order across
-/// the store is **file → index → quarantined → stats**; never acquire
-/// them in another order (skipping intermediates is fine).
-struct StoreFileState {
+/// The segment file and everything derived from its records, behind one
+/// mutex. Lock order across the store is **segment → stats**; never
+/// acquire them in the other order.
+struct Segment {
     file: Box<dyn DiskFile>,
     /// Current logical end of the segment (next append offset).
     end: u64,
@@ -248,11 +253,17 @@ struct StoreFileState {
     unsynced: u32,
     /// Record bytes superseded or dropped — compaction's fuel gauge.
     dead_bytes: u64,
+    /// Live records: fingerprint → where its newest valid record sits.
+    index: HashMap<u64, IndexEntry>,
+    /// Fingerprints barred by a quarantine tombstone. Populated by the
+    /// open-time scan and by [`quarantine`](ResultStore::quarantine);
+    /// [`put`](ResultStore::put) refuses these forever.
+    quarantined: HashSet<u64>,
 }
 
-impl fmt::Debug for StoreFileState {
+impl fmt::Debug for Segment {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StoreFileState")
+        f.debug_struct("Segment")
             .field("end", &self.end)
             .field("unsynced", &self.unsynced)
             .field("dead_bytes", &self.dead_bytes)
@@ -270,12 +281,7 @@ pub struct ResultStore {
     path: Option<PathBuf>,
     context: u64,
     config: StoreConfig,
-    file: Mutex<StoreFileState>,
-    index: Mutex<HashMap<u64, IndexEntry>>,
-    /// Fingerprints barred by a quarantine tombstone. Populated by the
-    /// open-time scan and by [`quarantine`](ResultStore::quarantine);
-    /// [`put`](ResultStore::put) refuses these forever.
-    quarantined: Mutex<HashSet<u64>>,
+    segment: Mutex<Segment>,
     stats: Mutex<StoreStats>,
     /// Once true, every operation is a no-op: the tier has degraded to
     /// pure recomputation for the rest of the run.
@@ -292,15 +298,21 @@ fn record_digest(fingerprint: u64, payload: &[u8]) -> u64 {
     hasher.finish()
 }
 
-/// A fully framed quarantine tombstone record for `fingerprint`.
-fn tombstone_record(fingerprint: u64) -> Vec<u8> {
-    let digest = record_digest(fingerprint, TOMBSTONE_PAYLOAD);
-    let mut record = Vec::with_capacity(RECORD_HEADER_LEN + TOMBSTONE_PAYLOAD.len());
-    record.extend_from_slice(&(TOMBSTONE_PAYLOAD.len() as u32).to_le_bytes());
+/// Frames one record: `len | fingerprint | digest | payload`. The only
+/// writer of the record framing.
+fn encode_record(fingerprint: u64, digest: u64, payload: &[u8]) -> Vec<u8> {
+    let len = u32::try_from(payload.len()).expect("payloads are bounded by MAX_RECORD_BYTES");
+    let mut record = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
+    record.extend_from_slice(&len.to_le_bytes());
     record.extend_from_slice(&fingerprint.to_le_bytes());
     record.extend_from_slice(&digest.to_le_bytes());
-    record.extend_from_slice(TOMBSTONE_PAYLOAD);
+    record.extend_from_slice(payload);
     record
+}
+
+/// A fully framed quarantine tombstone record for `fingerprint`.
+fn tombstone_record(fingerprint: u64) -> Vec<u8> {
+    encode_record(fingerprint, record_digest(fingerprint, TOMBSTONE_PAYLOAD), TOMBSTONE_PAYLOAD)
 }
 
 fn header_bytes(context: u64) -> [u8; HEADER_LEN] {
@@ -309,6 +321,108 @@ fn header_bytes(context: u64) -> [u8; HEADER_LEN] {
     header[4..6].copy_from_slice(&STORE_VERSION.to_le_bytes());
     header[6..14].copy_from_slice(&context.to_le_bytes());
     header
+}
+
+/// Checks a segment's first `min(file length, HEADER_LEN)` bytes: the
+/// magic must match and the version must not be newer than this build's.
+/// Returns the header's version and context, or `None` for a header torn
+/// at creation (a magic-prefixed stub shorter than a header).
+fn read_header(prefix: &[u8]) -> Result<Option<(u16, u64)>, StoreError> {
+    let magic_len = prefix.len().min(STORE_MAGIC.len());
+    if prefix[..magic_len] != STORE_MAGIC[..magic_len] {
+        return Err(StoreError::NotAStore);
+    }
+    if prefix.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    let version = u16::from_le_bytes([prefix[4], prefix[5]]);
+    if version > STORE_VERSION {
+        return Err(StoreError::UnsupportedVersion { found: version, supported: STORE_VERSION });
+    }
+    let context = u64::from_le_bytes(prefix[6..14].try_into().expect("8 bytes"));
+    Ok(Some((version, context)))
+}
+
+/// What one pass over a segment's record region found. Opening and
+/// [`ResultStore::verify`] run the same scan and differ only in which
+/// counts they read.
+#[derive(Debug, Default)]
+struct SegmentScan {
+    /// Live records after the last-wins and quarantine rules.
+    index: HashMap<u64, IndexEntry>,
+    /// Fingerprints barred by a tombstone.
+    quarantined: HashSet<u64>,
+    /// Bytes of every record that is not live or a first tombstone.
+    dead_bytes: u64,
+    /// File offset where the framed records end (the next append).
+    end: u64,
+    /// The record counts `verify` reports (header fields left zero).
+    report: StoreVerifyReport,
+}
+
+/// Walks the record region `body` (the segment after its header) record
+/// by record, following the length framing until it ends or can no
+/// longer be trusted.
+fn scan_records(body: &[u8]) -> SegmentScan {
+    let mut scan = SegmentScan::default();
+    let mut pos: usize = 0;
+    while pos < body.len() {
+        if pos + RECORD_HEADER_LEN > body.len() {
+            // Torn record header.
+            scan.report.torn_bytes = (body.len() - pos) as u64;
+            break;
+        }
+        let len = u32::from_le_bytes(body[pos..pos + 4].try_into().expect("4 bytes")) as usize;
+        if len as u64 > MAX_RECORD_BYTES || pos + RECORD_HEADER_LEN + len > body.len() {
+            // Either the length field is corrupt or the payload runs
+            // past EOF. We cannot distinguish "torn final record" from
+            // "corrupt framing" here, and framing is the only thing
+            // letting us skip forward — so stop trusting the file from
+            // this point.
+            scan.report.torn_bytes = (body.len() - pos) as u64;
+            break;
+        }
+        let fingerprint = u64::from_le_bytes(body[pos + 4..pos + 12].try_into().expect("8 bytes"));
+        let digest = u64::from_le_bytes(body[pos + 12..pos + 20].try_into().expect("8 bytes"));
+        let payload = &body[pos + RECORD_HEADER_LEN..pos + RECORD_HEADER_LEN + len];
+        let record_len = (RECORD_HEADER_LEN + len) as u64;
+        if record_digest(fingerprint, payload) != digest {
+            // Digest-invalid: counted, skipped via the (trusted)
+            // framing, never indexed.
+            scan.report.digest_invalid += 1;
+            scan.dead_bytes += record_len;
+        } else if payload == TOMBSTONE_PAYLOAD {
+            // Quarantine tombstone: whatever was recovered for this
+            // fingerprint is dead, and nothing later may resurrect it.
+            // The first tombstone stays live metadata (compaction
+            // rewrites it); a duplicate is dead weight.
+            if let Some(old) = scan.index.remove(&fingerprint) {
+                scan.report.superseded += 1;
+                scan.dead_bytes += old.total_len();
+            }
+            if !scan.quarantined.insert(fingerprint) {
+                scan.dead_bytes += record_len;
+            }
+        } else if scan.quarantined.contains(&fingerprint) {
+            // A record appended after its quarantine tombstone (a
+            // hostile or pre-quarantine writer): never indexed, never
+            // served.
+            scan.report.resurrected += 1;
+            scan.dead_bytes += record_len;
+        } else {
+            let entry = IndexEntry { offset: (HEADER_LEN + pos) as u64, len: len as u32, digest };
+            if let Some(old) = scan.index.insert(fingerprint, entry) {
+                // Last-wins: the superseded record is dead weight.
+                scan.report.superseded += 1;
+                scan.dead_bytes += old.total_len();
+            }
+        }
+        pos += RECORD_HEADER_LEN + len;
+    }
+    scan.end = (HEADER_LEN + pos) as u64;
+    scan.report.live = scan.index.len() as u64;
+    scan.report.tombstones = scan.quarantined.len() as u64;
+    scan
 }
 
 impl ResultStore {
@@ -372,155 +486,69 @@ impl ResultStore {
     ) -> Result<ResultStore, StoreError> {
         let file_len = file.seek(SeekFrom::End(0))?;
         let expected_header = header_bytes(context);
+        let mut prefix = vec![0u8; file_len.min(HEADER_LEN as u64) as usize];
+        file.seek(SeekFrom::Start(0))?;
+        file.read_exact(&mut prefix)?;
         let mut stats = StoreStats::default();
 
-        if file_len < HEADER_LEN as u64 {
-            // Empty, or a header torn by a crash during creation. A torn
-            // header is recoverable only if what *is* there matches the
-            // header we would write — anything else is another file.
-            if file_len > 0 {
-                let mut prefix = vec![0u8; usize::try_from(file_len).unwrap_or(HEADER_LEN)];
-                file.seek(SeekFrom::Start(0))?;
-                file.read_exact(&mut prefix)?;
+        let scan = match read_header(&prefix)? {
+            None => {
+                // Empty, or a header torn by a crash during creation. A
+                // torn header is recoverable only if what *is* there
+                // matches the header we would write — anything else is
+                // another file.
                 if prefix != expected_header[..prefix.len()] {
                     return Err(StoreError::NotAStore);
                 }
-                stats.torn_bytes += file_len;
+                stats.torn_bytes = file_len;
+                file.set_len(0)?;
+                file.seek(SeekFrom::Start(0))?;
+                file.write_all(&expected_header)?;
+                file.sync_data()?;
+                SegmentScan { end: HEADER_LEN as u64, ..SegmentScan::default() }
             }
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(&expected_header)?;
-            file.sync_data()?;
-            let state = StoreFileState { file, end: HEADER_LEN as u64, unsynced: 0, dead_bytes: 0 };
-            return Ok(ResultStore {
-                path,
-                context,
-                config,
-                file: Mutex::new(state),
-                index: Mutex::new(HashMap::new()),
-                quarantined: Mutex::new(HashSet::new()),
-                stats: Mutex::new(stats),
-                disabled: AtomicBool::new(false),
-            });
-        }
-
-        let mut header = [0u8; HEADER_LEN];
-        file.seek(SeekFrom::Start(0))?;
-        file.read_exact(&mut header)?;
-        if header[..4] != STORE_MAGIC {
-            return Err(StoreError::NotAStore);
-        }
-        let found_version = u16::from_le_bytes([header[4], header[5]]);
-        if found_version > STORE_VERSION {
-            return Err(StoreError::UnsupportedVersion {
-                found: found_version,
-                supported: STORE_VERSION,
-            });
-        }
-        let found_context = u64::from_le_bytes(header[6..14].try_into().expect("8 bytes"));
-        if found_context != context {
-            return Err(StoreError::ContextMismatch { found: found_context, expected: context });
-        }
-
-        // Recovery scan: one pass over the record region, rebuilding the
-        // index. Read into memory once — segments are compaction-bounded.
-        let body_len = usize::try_from(file_len - HEADER_LEN as u64)
-            .map_err(|_| StoreError::Io(io::Error::other("store too large to scan")))?;
-        let mut body = vec![0u8; body_len];
-        file.read_exact(&mut body)?;
-
-        let mut index: HashMap<u64, IndexEntry> = HashMap::new();
-        let mut quarantined: HashSet<u64> = HashSet::new();
-        let mut dead_bytes: u64 = 0;
-        let mut pos: usize = 0;
-        let scan_end = loop {
-            if pos == body.len() {
-                break pos;
+            Some((_, found)) if found != context => {
+                return Err(StoreError::ContextMismatch { found, expected: context });
             }
-            if pos + RECORD_HEADER_LEN > body.len() {
-                // Torn record header.
-                stats.torn_bytes += (body.len() - pos) as u64;
-                break pos;
-            }
-            let len = u32::from_le_bytes(body[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            if len as u64 > MAX_RECORD_BYTES || pos + RECORD_HEADER_LEN + len > body.len() {
-                // Either the length field is corrupt or the payload runs
-                // past EOF. We cannot distinguish "torn final record"
-                // from "corrupt framing" here, and framing is the only
-                // thing letting us skip forward — so stop trusting the
-                // file from this point and truncate.
-                stats.torn_bytes += (body.len() - pos) as u64;
-                break pos;
-            }
-            let fingerprint =
-                u64::from_le_bytes(body[pos + 4..pos + 12].try_into().expect("8 bytes"));
-            let digest = u64::from_le_bytes(body[pos + 12..pos + 20].try_into().expect("8 bytes"));
-            let payload = &body[pos + RECORD_HEADER_LEN..pos + RECORD_HEADER_LEN + len];
-            let record_len = (RECORD_HEADER_LEN + len) as u64;
-            if record_digest(fingerprint, payload) == digest {
-                if payload == TOMBSTONE_PAYLOAD {
-                    // Quarantine tombstone: whatever was recovered for
-                    // this fingerprint is dead, and nothing later may
-                    // resurrect it. The tombstone itself stays live
-                    // metadata (compaction rewrites it).
-                    if let Some(old) = index.remove(&fingerprint) {
-                        dead_bytes += old.total_len();
-                    }
-                    if !quarantined.insert(fingerprint) {
-                        // A duplicate tombstone is dead weight.
-                        dead_bytes += record_len;
-                    }
-                } else if quarantined.contains(&fingerprint) {
-                    // A record appended after its quarantine tombstone
-                    // (a hostile or pre-quarantine writer): never
-                    // indexed, never served.
-                    dead_bytes += record_len;
-                } else {
-                    let entry = IndexEntry {
-                        offset: HEADER_LEN as u64 + pos as u64,
-                        len: len as u32,
-                        digest,
-                    };
-                    if let Some(old) = index.insert(fingerprint, entry) {
-                        // Last-wins: the superseded record is dead weight.
-                        dead_bytes += old.total_len();
-                    }
+            Some(_) => {
+                // Recovery scan: one pass over the record region,
+                // rebuilding the index. Read into memory once — segments
+                // are compaction-bounded.
+                let body_len = usize::try_from(file_len - HEADER_LEN as u64)
+                    .map_err(|_| StoreError::Io(io::Error::other("store too large to scan")))?;
+                let mut body = vec![0u8; body_len];
+                file.read_exact(&mut body)?;
+                let scan = scan_records(&body);
+                if scan.end < file_len {
+                    // Physically truncate the untrusted tail, so the
+                    // next append starts on a record boundary.
+                    file.set_len(scan.end)?;
+                    file.sync_data()?;
                 }
-            } else {
-                // Digest-invalid: counted, skipped via the (trusted)
-                // framing, never indexed.
-                stats.corrupt_dropped += 1;
-                dead_bytes += record_len;
+                stats.recovered = scan.report.live;
+                stats.quarantined = scan.report.tombstones;
+                stats.corrupt_dropped = scan.report.digest_invalid;
+                stats.torn_bytes = scan.report.torn_bytes;
+                scan
             }
-            pos += RECORD_HEADER_LEN + len;
         };
 
-        let end = HEADER_LEN as u64 + scan_end as u64;
-        if end < file_len {
-            file.set_len(end)?;
-            file.sync_data()?;
-        }
-        stats.recovered = index.len() as u64;
-        stats.quarantined = quarantined.len() as u64;
-
-        let state = StoreFileState { file, end, unsynced: 0, dead_bytes };
+        let segment = Segment {
+            file,
+            end: scan.end,
+            unsynced: 0,
+            dead_bytes: scan.dead_bytes,
+            index: scan.index,
+            quarantined: scan.quarantined,
+        };
         Ok(ResultStore {
             path,
             context,
             config,
-            file: Mutex::new(state),
-            index: Mutex::new(HashMap::new()),
-            quarantined: Mutex::new(HashSet::new()),
+            segment: Mutex::new(segment),
             stats: Mutex::new(stats),
             disabled: AtomicBool::new(false),
-        }
-        .with_index(index, quarantined))
-    }
-
-    fn with_index(self, index: HashMap<u64, IndexEntry>, quarantined: HashSet<u64>) -> ResultStore {
-        *lock(&self.index) = index;
-        *lock(&self.quarantined) = quarantined;
-        self
+        })
     }
 
     /// The context fingerprint this store was opened for.
@@ -538,7 +566,7 @@ impl ResultStore {
     /// Number of live (indexed) entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        lock(&self.index).len()
+        lock(&self.segment).index.len()
     }
 
     /// Whether the store holds no live entries.
@@ -584,36 +612,31 @@ impl ResultStore {
         if self.is_disabled() {
             return None;
         }
-        let mut state = lock(&self.file);
-        let entry = lock(&self.index).get(&fingerprint).copied();
-        let Some(entry) = entry else {
-            drop(state);
-            lock(&self.stats).misses += 1;
-            return None;
-        };
-        match read_record(state.file.as_mut(), fingerprint, entry) {
-            Ok(Some(payload)) => {
-                drop(state);
-                lock(&self.stats).hits += 1;
-                Some(payload)
-            }
-            Ok(None) => {
-                // Bit rot since open: drop the entry, recompute upstream.
-                lock(&self.index).remove(&fingerprint);
-                state.dead_bytes += entry.total_len();
-                drop(state);
-                let mut stats = lock(&self.stats);
-                stats.corrupt_dropped += 1;
-                stats.misses += 1;
-                None
-            }
-            Err(err) => {
-                drop(state);
-                self.degrade("read", &err);
-                lock(&self.stats).misses += 1;
-                None
-            }
+        let mut segment = lock(&self.segment);
+        let entry = segment.index.get(&fingerprint).copied();
+        let found =
+            entry.and_then(|entry| match read_record(segment.file.as_mut(), fingerprint, entry) {
+                Ok(Some(payload)) => Some(payload),
+                Ok(None) => {
+                    // Bit rot since open: drop the entry, recompute upstream.
+                    segment.index.remove(&fingerprint);
+                    segment.dead_bytes += entry.total_len();
+                    lock(&self.stats).corrupt_dropped += 1;
+                    None
+                }
+                Err(err) => {
+                    self.degrade("read", &err);
+                    None
+                }
+            });
+        drop(segment);
+        let mut stats = lock(&self.stats);
+        if found.is_some() {
+            stats.hits += 1;
+        } else {
+            stats.misses += 1;
         }
+        found
     }
 
     /// Appends a record for `fingerprint`, fsyncing per the configured
@@ -628,52 +651,55 @@ impl ResultStore {
             return;
         }
         let digest = record_digest(fingerprint, payload);
-        let mut record = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-        record.extend_from_slice(&u32::try_from(payload.len()).expect("bounded").to_le_bytes());
-        record.extend_from_slice(&fingerprint.to_le_bytes());
-        record.extend_from_slice(&digest.to_le_bytes());
-        record.extend_from_slice(payload);
-
-        let mut state = lock(&self.file);
-        // Checked under the file lock so a concurrent quarantine cannot
-        // interleave between the check and the append.
-        if lock(&self.quarantined).contains(&fingerprint) {
+        let record = encode_record(fingerprint, digest, payload);
+        let mut segment = lock(&self.segment);
+        // Checked under the segment lock so a concurrent quarantine
+        // cannot interleave between the check and the append.
+        if segment.quarantined.contains(&fingerprint) {
             return;
         }
-        let offset = state.end;
-        let wrote =
-            state.file.seek(SeekFrom::Start(offset)).and_then(|_| state.file.write_all(&record));
-        if let Err(err) = wrote {
-            // Roll the torn partial back so the in-file tail stays
-            // record-aligned; if even that fails, the open-time scan
-            // truncates it at the next run.
-            let _ = state.file.set_len(offset);
-            drop(state);
-            self.degrade("append", &err);
-            return;
-        }
-        state.end = offset + record.len() as u64;
-        state.unsynced += 1;
-
-        let sync_now = match self.config.fsync {
-            FsyncPolicy::EveryN(n) => state.unsynced >= n.max(1),
-            FsyncPolicy::OnFlush => false,
-        };
-        if sync_now {
-            if let Err(err) = state.file.sync_data() {
-                drop(state);
-                self.degrade("fsync", &err);
-                return;
-            }
-            state.unsynced = 0;
-        }
-
+        let Some(offset) = self.append(&mut segment, &record, false) else { return };
         let entry = IndexEntry { offset, len: payload.len() as u32, digest };
-        if let Some(old) = lock(&self.index).insert(fingerprint, entry) {
-            state.dead_bytes += old.total_len();
+        if let Some(old) = segment.index.insert(fingerprint, entry) {
+            segment.dead_bytes += old.total_len();
         }
         lock(&self.stats).appends += 1;
-        self.maybe_compact(state);
+        self.maybe_compact(segment);
+    }
+
+    /// Appends one framed record at the segment's end and syncs it: a
+    /// tombstone always (it is a correctness marker, not a cache entry),
+    /// an ordinary record per the [`FsyncPolicy`]. A failed write is
+    /// rolled back so the in-file tail stays record-aligned (if even that
+    /// fails, the open-time scan truncates it at the next run); any
+    /// failure degrades the tier and returns `None`. Returns the record's
+    /// offset.
+    fn append(&self, segment: &mut Segment, record: &[u8], tombstone: bool) -> Option<u64> {
+        let (append_failed, fsync_failed) =
+            if tombstone { ("tombstone append", "tombstone fsync") } else { ("append", "fsync") };
+        let offset = segment.end;
+        let wrote =
+            segment.file.seek(SeekFrom::Start(offset)).and_then(|_| segment.file.write_all(record));
+        if let Err(err) = wrote {
+            let _ = segment.file.set_len(offset);
+            self.degrade(append_failed, &err);
+            return None;
+        }
+        segment.end = offset + record.len() as u64;
+        segment.unsynced += 1;
+        let sync_now = tombstone
+            || match self.config.fsync {
+                FsyncPolicy::EveryN(n) => segment.unsynced >= n.max(1),
+                FsyncPolicy::OnFlush => false,
+            };
+        if sync_now {
+            if let Err(err) = segment.file.sync_data() {
+                self.degrade(fsync_failed, &err);
+                return None;
+            }
+            segment.unsynced = 0;
+        }
+        Some(offset)
     }
 
     /// Syncs any unsynced appends to the device (the drain-time hook for
@@ -682,16 +708,13 @@ impl ResultStore {
         if self.is_disabled() {
             return;
         }
-        let mut state = lock(&self.file);
-        if state.unsynced == 0 {
+        let mut segment = lock(&self.segment);
+        if segment.unsynced == 0 {
             return;
         }
-        match state.file.sync_data() {
-            Ok(()) => state.unsynced = 0,
-            Err(err) => {
-                drop(state);
-                self.degrade("flush", &err);
-            }
+        match segment.file.sync_data() {
+            Ok(()) => segment.unsynced = 0,
+            Err(err) => self.degrade("flush", &err),
         }
     }
 
@@ -700,11 +723,10 @@ impl ResultStore {
     /// record is counted as corrupt and its earlier hit uncounted, so
     /// `hits` keeps meaning "results actually served".
     pub fn discard(&self, fingerprint: u64) {
-        let mut state = lock(&self.file);
-        let removed = lock(&self.index).remove(&fingerprint);
-        if let Some(entry) = removed {
-            state.dead_bytes += entry.total_len();
-            drop(state);
+        let mut segment = lock(&self.segment);
+        if let Some(entry) = segment.index.remove(&fingerprint) {
+            segment.dead_bytes += entry.total_len();
+            drop(segment);
             let mut stats = lock(&self.stats);
             stats.corrupt_dropped += 1;
             stats.hits = stats.hits.saturating_sub(1);
@@ -715,7 +737,7 @@ impl ResultStore {
     /// Whether `fingerprint` is barred by a quarantine tombstone.
     #[must_use]
     pub fn is_quarantined(&self, fingerprint: u64) -> bool {
-        lock(&self.quarantined).contains(&fingerprint)
+        lock(&self.segment).quarantined.contains(&fingerprint)
     }
 
     /// Quarantines `fingerprint`: the live record (if any) is dropped
@@ -730,74 +752,39 @@ impl ResultStore {
     /// it) — durability of the bar is then best-effort, like every other
     /// write on a failing device.
     pub fn quarantine(&self, fingerprint: u64) {
-        let mut state = lock(&self.file);
-        {
-            let mut index = lock(&self.index);
-            let mut quarantined = lock(&self.quarantined);
-            if !quarantined.insert(fingerprint) {
-                return;
-            }
-            if let Some(old) = index.remove(&fingerprint) {
-                state.dead_bytes += old.total_len();
-            }
+        let mut segment = lock(&self.segment);
+        if !segment.quarantined.insert(fingerprint) {
+            return;
+        }
+        if let Some(old) = segment.index.remove(&fingerprint) {
+            segment.dead_bytes += old.total_len();
         }
         lock(&self.stats).quarantined += 1;
-        if self.is_disabled() {
-            return;
+        if !self.is_disabled() {
+            self.append(&mut segment, &tombstone_record(fingerprint), true);
         }
-        let record = tombstone_record(fingerprint);
-        let offset = state.end;
-        let wrote =
-            state.file.seek(SeekFrom::Start(offset)).and_then(|_| state.file.write_all(&record));
-        if let Err(err) = wrote {
-            let _ = state.file.set_len(offset);
-            drop(state);
-            self.degrade("tombstone append", &err);
-            return;
-        }
-        state.end = offset + record.len() as u64;
-        // A tombstone is a correctness marker, not a cache entry: it is
-        // always synced immediately, regardless of the fsync policy.
-        if let Err(err) = state.file.sync_data() {
-            drop(state);
-            self.degrade("tombstone fsync", &err);
-            return;
-        }
-        state.unsynced = 0;
     }
 
     /// Compacts when the segment is both big and mostly dead. Takes the
-    /// held file lock by value so callers cannot accidentally re-lock.
-    fn maybe_compact(&self, mut state: std::sync::MutexGuard<'_, StoreFileState>) {
-        if self.path.is_none() || state.end < self.config.compact_at_bytes {
+    /// held segment lock by value so callers cannot accidentally re-lock.
+    fn maybe_compact(&self, mut segment: MutexGuard<'_, Segment>) {
+        if self.path.is_none() || segment.end < self.config.compact_at_bytes {
             return;
         }
-        let record_bytes = state.end - HEADER_LEN as u64;
+        let record_bytes = segment.end - HEADER_LEN as u64;
         if record_bytes == 0 {
             return;
         }
-        let dead_fraction = state.dead_bytes as f64 / record_bytes as f64;
+        let dead_fraction = segment.dead_bytes as f64 / record_bytes as f64;
         if dead_fraction < self.config.compact_min_dead_fraction {
             return;
         }
-        let mut index = lock(&self.index);
-        let quarantined = lock(&self.quarantined);
-        match self.compact_locked(&mut state, &mut index, &quarantined) {
-            Ok(()) => {
-                drop(quarantined);
-                drop(index);
-                drop(state);
-                lock(&self.stats).compactions += 1;
-            }
-            Err(err) => {
-                drop(quarantined);
-                drop(index);
-                drop(state);
-                // The old segment is still intact and valid; disabling
-                // anyway keeps the degradation rule uniform: one I/O
-                // error, tier off, recomputation takes over.
-                self.degrade("compaction", &err);
-            }
+        match self.compact_locked(&mut segment) {
+            Ok(()) => lock(&self.stats).compactions += 1,
+            // The old segment is still intact and valid; disabling
+            // anyway keeps the degradation rule uniform: one I/O error,
+            // tier off, recomputation takes over.
+            Err(err) => self.degrade("compaction", &err),
         }
     }
 
@@ -805,16 +792,12 @@ impl ResultStore {
     /// segment — followed by one tombstone per quarantined fingerprint,
     /// so the bar survives compaction — fsyncs it, and atomically
     /// renames it over the old one.
-    fn compact_locked(
-        &self,
-        state: &mut StoreFileState,
-        index: &mut HashMap<u64, IndexEntry>,
-        quarantined: &HashSet<u64>,
-    ) -> io::Result<()> {
+    fn compact_locked(&self, segment: &mut Segment) -> io::Result<()> {
         let path = self.path.as_ref().expect("compaction requires a backing path");
         let tmp_path = path.with_extension("compact-tmp");
 
-        let mut live: Vec<(u64, IndexEntry)> = index.iter().map(|(k, v)| (*k, *v)).collect();
+        let mut live: Vec<(u64, IndexEntry)> =
+            segment.index.iter().map(|(k, v)| (*k, *v)).collect();
         live.sort_by_key(|(_, entry)| entry.offset);
 
         let mut tmp = OpenOptions::new()
@@ -829,22 +812,14 @@ impl ResultStore {
         let mut pos = HEADER_LEN as u64;
         for (fingerprint, entry) in live {
             let payload =
-                read_record(state.file.as_mut(), fingerprint, entry)?.ok_or_else(|| {
+                read_record(segment.file.as_mut(), fingerprint, entry)?.ok_or_else(|| {
                     io::Error::other("record failed digest verification during compaction")
                 })?;
-            let mut record = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-            record.extend_from_slice(&entry.len.to_le_bytes());
-            record.extend_from_slice(&fingerprint.to_le_bytes());
-            record.extend_from_slice(&entry.digest.to_le_bytes());
-            record.extend_from_slice(&payload);
-            tmp.write_all(&record)?;
-            new_index.insert(
-                fingerprint,
-                IndexEntry { offset: pos, len: entry.len, digest: entry.digest },
-            );
+            tmp.write_all(&encode_record(fingerprint, entry.digest, &payload))?;
+            new_index.insert(fingerprint, IndexEntry { offset: pos, ..entry });
             pos += entry.total_len();
         }
-        let mut barred: Vec<u64> = quarantined.iter().copied().collect();
+        let mut barred: Vec<u64> = segment.quarantined.iter().copied().collect();
         barred.sort_unstable();
         for fingerprint in barred {
             let record = tombstone_record(fingerprint);
@@ -856,11 +831,11 @@ impl ResultStore {
         std::fs::rename(&tmp_path, path)?;
 
         let file = OpenOptions::new().read(true).write(true).open(path)?;
-        state.file = Box::new(file);
-        state.end = pos;
-        state.unsynced = 0;
-        state.dead_bytes = 0;
-        *index = new_index;
+        segment.file = Box::new(file);
+        segment.end = pos;
+        segment.unsynced = 0;
+        segment.dead_bytes = 0;
+        segment.index = new_index;
         Ok(())
     }
 }
@@ -942,59 +917,16 @@ impl ResultStore {
     /// reinitialize it.
     pub fn verify(path: impl AsRef<Path>) -> Result<StoreVerifyReport, StoreError> {
         let bytes = std::fs::read(path.as_ref())?;
-        let magic_len = bytes.len().min(4);
-        if bytes[..magic_len] != STORE_MAGIC[..magic_len] {
-            return Err(StoreError::NotAStore);
-        }
-        let mut report = StoreVerifyReport { file_bytes: bytes.len() as u64, ..Default::default() };
-        if bytes.len() < HEADER_LEN {
-            report.torn_bytes = bytes.len() as u64;
-            return Ok(report);
-        }
-        report.version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if report.version > STORE_VERSION {
-            return Err(StoreError::UnsupportedVersion {
-                found: report.version,
-                supported: STORE_VERSION,
+        let file_bytes = bytes.len() as u64;
+        let Some((version, context)) = read_header(&bytes[..bytes.len().min(HEADER_LEN)])? else {
+            return Ok(StoreVerifyReport {
+                file_bytes,
+                torn_bytes: file_bytes,
+                ..Default::default()
             });
-        }
-        report.context = u64::from_le_bytes(bytes[6..14].try_into().expect("8 bytes"));
-
-        let body = &bytes[HEADER_LEN..];
-        let mut live: HashSet<u64> = HashSet::new();
-        let mut quarantined: HashSet<u64> = HashSet::new();
-        let mut pos = 0usize;
-        while pos < body.len() {
-            if pos + RECORD_HEADER_LEN > body.len() {
-                report.torn_bytes += (body.len() - pos) as u64;
-                break;
-            }
-            let len = u32::from_le_bytes(body[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            if len as u64 > MAX_RECORD_BYTES || pos + RECORD_HEADER_LEN + len > body.len() {
-                report.torn_bytes += (body.len() - pos) as u64;
-                break;
-            }
-            let fingerprint =
-                u64::from_le_bytes(body[pos + 4..pos + 12].try_into().expect("8 bytes"));
-            let digest = u64::from_le_bytes(body[pos + 12..pos + 20].try_into().expect("8 bytes"));
-            let payload = &body[pos + RECORD_HEADER_LEN..pos + RECORD_HEADER_LEN + len];
-            if record_digest(fingerprint, payload) != digest {
-                report.digest_invalid += 1;
-            } else if payload == TOMBSTONE_PAYLOAD {
-                if live.remove(&fingerprint) {
-                    report.superseded += 1;
-                }
-                quarantined.insert(fingerprint);
-            } else if quarantined.contains(&fingerprint) {
-                report.resurrected += 1;
-            } else if !live.insert(fingerprint) {
-                report.superseded += 1;
-            }
-            pos += RECORD_HEADER_LEN + len;
-        }
-        report.live = live.len() as u64;
-        report.tombstones = quarantined.len() as u64;
-        Ok(report)
+        };
+        let scan = scan_records(&bytes[HEADER_LEN..]);
+        Ok(StoreVerifyReport { version, context, file_bytes, ..scan.report })
     }
 }
 

@@ -3,10 +3,10 @@
 //! Everything that crosses a worker process boundary — jobs, outcomes,
 //! heartbeats — travels as an ASBX frame: magic, version, kind, length,
 //! payload, FNV-1a digest. This module owns the codec
-//! ([`encode_frame`]/[`write_frame`]/[`read_frame`]) and the
-//! [`FrameTransport`] seam over the raw pipe writes, so fault injection
-//! can shape bytes *between* the frame layer and the pipe without either
-//! supervisor knowing.
+//! ([`encode_frame`]/[`write_frame`]/[`read_frame`]) and
+//! [`PipeTransport`], the one writer of frames onto a worker's pipe, so
+//! fault injection can shape bytes *between* the frame layer and the
+//! pipe without either supervisor knowing.
 //!
 //! Fault injection plugs in via [`ascend_faults::WireShaper`]:
 //! [`PipeTransport`] shapes outbound frames (parent → worker) and
@@ -198,21 +198,10 @@ pub fn read_frame(reader: &mut dyn Read) -> Result<Option<Frame>, String> {
     Ok(Some(Frame { kind, payload }))
 }
 
-/// The seam over "put one frame on the wire towards a worker". The
-/// supervisors speak frames through this trait; whether the bytes travel
-/// untouched or through a fault shaper is the transport's business.
-pub trait FrameTransport: Send {
-    /// Encodes and ships one frame.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the pipe failure; a transport whose connection was cut
-    /// (by a scheduled tear or a dead peer) reports `BrokenPipe`.
-    fn send(&mut self, kind: FrameKind, payload: &[u8]) -> std::io::Result<()>;
-}
-
-/// A [`FrameTransport`] over any byte sink, optionally shaped by a shared
-/// [`WireShaper`]. A scheduled tear cuts **this connection** (the sink is
+/// "Put one frame on the wire towards a worker" over any byte sink,
+/// optionally shaped by a shared [`WireShaper`]: the supervisors speak
+/// frames through it, and whether the bytes travel untouched or through
+/// a fault shaper is the transport's business. A scheduled tear cuts **this connection** (the sink is
 /// dropped, which for a `ChildStdin` delivers EOF mid-frame to the
 /// child); the shaper survives for the slot's next connection.
 pub struct PipeTransport<W: Write + Send> {
@@ -239,10 +228,14 @@ impl<W: Write + Send> PipeTransport<W> {
     pub fn shaped(writer: W, shaper: Arc<Mutex<WireShaper>>) -> Self {
         PipeTransport { inner: Some(writer), shaper: Some(shaper) }
     }
-}
 
-impl<W: Write + Send> FrameTransport for PipeTransport<W> {
-    fn send(&mut self, kind: FrameKind, payload: &[u8]) -> std::io::Result<()> {
+    /// Encodes and ships one frame.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the pipe failure; a transport whose connection was cut
+    /// (by a scheduled tear or a dead peer) reports `BrokenPipe`.
+    pub fn send(&mut self, kind: FrameKind, payload: &[u8]) -> std::io::Result<()> {
         let Some(writer) = self.inner.as_mut() else {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::BrokenPipe,

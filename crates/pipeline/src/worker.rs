@@ -30,8 +30,7 @@
 use crate::sandbox::{SandboxConfig, WorkSpec};
 use crate::supervisor::RunPolicy;
 use crate::transport::{
-    protocol_fault_bytes, read_frame, write_frame, Frame, FrameKind, FrameTransport, PipeTransport,
-    ShapedReader,
+    protocol_fault_bytes, read_frame, write_frame, Frame, FrameKind, PipeTransport, ShapedReader,
 };
 use crate::{lock, AnalysisPipeline, PipelineError, PipelineResult};
 use ascend_arch::ChipSpec;

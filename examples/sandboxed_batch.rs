@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         AnalysisPipeline::new(ChipSpec::training()),
         ServiceConfig {
             workers: 2,
-            isolation: [Isolation::Sandboxed; 2],
+            isolation: Isolation::Sandboxed,
             sandbox,
             ..ServiceConfig::default()
         },

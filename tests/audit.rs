@@ -19,8 +19,11 @@ use ascend::arch::{ChipSpec, Component};
 use ascend::faults::BuggyEngine;
 use ascend::ops::{AddRelu, Operator};
 use ascend::pipeline::divergence::{self, trace_fingerprint};
-use ascend::pipeline::{AnalysisPipeline, AuditPolicy, Fidelity, ResultStore};
-use ascend::sim::{Simulator, StallCause, Trace};
+use ascend::pipeline::{
+    AnalysisPipeline, AuditPolicy, AuditStats, CacheStats, Fidelity, FidelityMix, ResultStore,
+    RunPolicy, SupervisorStats,
+};
+use ascend::sim::{SimBudget, Simulator, StallCause, Trace};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -210,4 +213,80 @@ fn without_audit_the_bug_is_served() {
     let report = divergence::compare(&got.trace, &expected.trace);
     assert!(report.is_some(), "the buggy engine must actually perturb the trace");
     assert!(!pipeline.audit_stats().any_activity());
+}
+
+/// One pipeline producing all three kinds of result — simulated (clean
+/// audits), analytical fallback (a budget trip under a fallback policy)
+/// and inline-audited (the buggy engine caught) — keeps every ledger in
+/// step: each count appears in the snapshot and footer exactly once.
+#[test]
+fn a_mixed_run_keeps_every_ledger_in_step() {
+    let bug = BuggyEngine::new(0xBAD).with_rate(0.5);
+    let pipeline = AnalysisPipeline::new(ChipSpec::training())
+        .with_buggy_engine(bug)
+        .with_audit(AuditPolicy::default().with_rate(1.0).with_demotion(10, 64));
+    let ops: Vec<AddRelu> = (10..16).map(|shift| AddRelu::new(1 << shift)).collect();
+    let afflicted = ops.iter().filter(|op| bug.afflicts(pipeline.cache_key(*op))).count();
+    assert_eq!(afflicted, 3, "the seed must afflict some keys and spare others");
+
+    for op in &ops {
+        let result = pipeline.run(op).unwrap();
+        let expected = if bug.afflicts(pipeline.cache_key(op)) {
+            Fidelity::Audited
+        } else {
+            Fidelity::Simulated
+        };
+        assert_eq!(result.fidelity, expected);
+    }
+    // Two repeats: one clean, one audited key. Both are cache hits.
+    let clean = ops.iter().find(|op| !bug.afflicts(pipeline.cache_key(*op))).unwrap();
+    let caught = ops.iter().find(|op| bug.afflicts(pipeline.cache_key(*op))).unwrap();
+    assert_eq!(pipeline.run(clean).unwrap().fidelity, Fidelity::Simulated);
+    assert_eq!(pipeline.run(caught).unwrap().fidelity, Fidelity::Audited);
+
+    let tripping = RunPolicy::default()
+        .with_budget(SimBudget { max_events: 10, max_cycles: 1e15 })
+        .with_fallback(true);
+    let degraded = pipeline.run_supervised(&AddRelu::new(1 << 17), &tripping, None).unwrap();
+    assert_eq!(degraded.fidelity, Fidelity::AnalyticalFallback);
+
+    assert_eq!(pipeline.fidelity_mix(), FidelityMix { simulated: 6, analytical: 1, audited: 3 });
+    assert_eq!(
+        pipeline.supervisor_stats(),
+        SupervisorStats {
+            supervised_runs: 1,
+            budget_trips: 1,
+            fallbacks: 1,
+            hard_failures: 1,
+            ..SupervisorStats::default()
+        }
+    );
+    assert_eq!(
+        pipeline.audit_stats(),
+        AuditStats { audits: 6, divergences: 3, quarantined: 3, ..AuditStats::default() }
+    );
+    assert_eq!(pipeline.cache_stats(), CacheStats { hits: 2, misses: 6, evictions: 0 });
+    assert_eq!(pipeline.timings().runs, 6);
+
+    let footer = pipeline.instrumentation_footer();
+    let lines: Vec<&str> = footer.lines().collect();
+    for expected in [
+        "[pipeline] stages (6 uncached runs): ",
+        "[pipeline] stage latency ms p50/p95/p99: ",
+        "[pipeline] engine: ",
+    ] {
+        assert!(lines.iter().any(|line| line.starts_with(expected)), "{footer}");
+    }
+    assert_eq!(
+        &lines[3..],
+        [
+            "[pipeline] cache: 2 hits / 6 misses (25.0% hit rate), 0 evictions, 6 entries live",
+            "[pipeline] supervision: 1 supervised runs, 0 retries, 0 deadline preemptions, \
+             1 budget trips, 1 analytical fallbacks, 1 hard failures, 0 breaker trips, \
+             0 breaker short-circuits",
+            "[pipeline] audit: 6 audits, 3 divergences, 3 quarantined, 0 aborted, 0 dropped, \
+             0 pending",
+        ],
+        "{footer}"
+    );
 }

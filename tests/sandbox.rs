@@ -55,7 +55,7 @@ fn sandboxed_service(chip: ChipSpec) -> AnalysisService {
         AnalysisPipeline::new(chip),
         ServiceConfig {
             workers: 2,
-            isolation: [Isolation::Sandboxed; 2],
+            isolation: Isolation::Sandboxed,
             sandbox: sandbox_config(),
             ..ServiceConfig::default()
         },
@@ -209,7 +209,7 @@ fn drain_preempts_a_sandboxed_child_instead_of_waiting_out_its_clock() {
         AnalysisPipeline::new(ChipSpec::training()),
         ServiceConfig {
             workers: 1,
-            isolation: [Isolation::Sandboxed; 2],
+            isolation: Isolation::Sandboxed,
             sandbox: config,
             ..ServiceConfig::default()
         },

@@ -416,6 +416,8 @@ proptest! {
         }
 
         apply_random_faults(&path, seed ^ 0xFAD7);
+        // The read-only scan runs first: opening truncates torn tails.
+        let verified = ResultStore::verify(&path);
 
         // Reopen (a post-corruption magic/version/context tear can make
         // the file unopenable — that is a refusal, not a wrong answer).
@@ -425,6 +427,15 @@ proptest! {
         };
         let stats = store.stats();
         prop_assert_eq!(stats.recovered, store.len() as u64);
+        // `verify` must see exactly what the open-time recovery saw.
+        let report = match verified {
+            Ok(report) => report,
+            Err(err) => panic!("seed {seed}: open accepted a segment verify refused: {err}"),
+        };
+        prop_assert_eq!(report.live, stats.recovered, "seed {}: live vs recovered", seed);
+        prop_assert_eq!(report.tombstones, stats.quarantined, "seed {}: tombstones", seed);
+        prop_assert_eq!(report.torn_bytes, stats.torn_bytes, "seed {}: torn bytes", seed);
+        prop_assert_eq!(report.digest_invalid, stats.corrupt_dropped, "seed {}: corrupt", seed);
         for (key, versions) in &written {
             if let Some(served) = store.get(*key) {
                 // Served bytes must be bit-identical to *some* version

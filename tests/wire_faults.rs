@@ -91,7 +91,7 @@ fn every_wire_fault_kind_lands_in_the_worker_taxonomy() {
             AnalysisPipeline::new(ChipSpec::training()),
             ServiceConfig {
                 workers: 1,
-                isolation: [Isolation::Sandboxed; 2],
+                isolation: Isolation::Sandboxed,
                 sandbox: sandbox_config(Some(plan)),
                 ..ServiceConfig::default()
             },
@@ -143,7 +143,7 @@ fn seeded_wire_fault_sweep_never_escapes_supervision() {
             AnalysisPipeline::new(ChipSpec::training()),
             ServiceConfig {
                 workers: 1,
-                isolation: [Isolation::Sandboxed; 2],
+                isolation: Isolation::Sandboxed,
                 sandbox: sandbox_config(Some(plan)),
                 ..ServiceConfig::default()
             },
