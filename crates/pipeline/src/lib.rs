@@ -220,7 +220,8 @@ impl StageTimings {
 /// Cumulative engine-loop throughput across all uncached runs on this
 /// pipeline (shared across clones): how many events the simulator's
 /// event loop processed and how long the loop itself ran — excluding
-/// kernel build, trace finalization, profiling, and analysis.
+/// kernel build, kernel validation, trace finalization, profiling, and
+/// analysis.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct EngineThroughput {
     /// Events processed by the simulator's event loop.
@@ -1237,11 +1238,16 @@ impl AnalysisPipeline {
             // One engine pass feeds both sinks: the full-record collector
             // (results keep their trace) and the streaming metrics the
             // profile stage consumes without re-walking kernel + trace.
+            // Validation runs before the engine clock starts, so the
+            // throughput counts the engine alone; the simulate stage
+            // still counts both.
             let mut sinks = (TraceCollector::new(), MetricsSink::new());
-            let summary = simulator.simulate_into(&kernel, &mut sinks)?;
+            simulator.check(&kernel)?;
+            let looped = Instant::now();
+            let summary = simulator.simulate_unchecked_into(&kernel, &mut sinks)?;
             let engine = EngineThroughput {
                 events: summary.events,
-                sim_secs: built.elapsed().as_secs_f64(),
+                sim_secs: looped.elapsed().as_secs_f64(),
             };
             let (collector, metrics) = sinks;
             let trace = collector.into_trace(kernel.name(), summary.total_cycles);

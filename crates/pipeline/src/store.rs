@@ -526,7 +526,6 @@ impl ResultStore {
                     file.sync_data()?;
                 }
                 stats.recovered = scan.report.live;
-                stats.quarantined = scan.report.tombstones;
                 stats.corrupt_dropped = scan.report.digest_invalid;
                 stats.torn_bytes = scan.report.torn_bytes;
                 scan
@@ -581,11 +580,14 @@ impl ResultStore {
         self.disabled.load(Ordering::Acquire)
     }
 
-    /// Current counters (the `disabled` flag reflects live state).
+    /// Current counters (the `disabled` flag and the `quarantined`
+    /// count reflect live state).
     #[must_use]
     pub fn stats(&self) -> StoreStats {
+        let quarantined = lock(&self.segment).quarantined.len() as u64;
         let mut stats = *lock(&self.stats);
         stats.disabled = self.is_disabled();
+        stats.quarantined = quarantined;
         stats
     }
 
@@ -759,7 +761,6 @@ impl ResultStore {
         if let Some(old) = segment.index.remove(&fingerprint) {
             segment.dead_bytes += old.total_len();
         }
-        lock(&self.stats).quarantined += 1;
         if !self.is_disabled() {
             self.append(&mut segment, &tombstone_record(fingerprint), true);
         }

@@ -16,17 +16,18 @@
 //! The event queue itself is gone: each component queue holds a short
 //! in-flight FIFO (almost always one entry — more only when an
 //! instruction ends at exactly another event's timestamp) and at most
-//! one live wake, so "pop the heap" becomes a scan over six FIFO
-//! fronts and six `wake_at` slots that reproduces the old heap's `Ord`
-//! exactly (earliest time; at equal times completions before wakes, by
+//! one live wake, so "pop the heap" becomes a scan over the live FIFO
+//! fronts and live `wake_at` slots (two bitmasks name them, so dead
+//! queues cost nothing) that reproduces the old heap's `Ord` exactly
+//! (earliest time; at equal times completions before wakes, by
 //! ascending instruction index). Completion events re-attempt only the
-//! queues whose blocking state can have changed — the freed queue,
-//! flag-blocked queues when a `set_flag` completed, region-blocked
-//! queues on any completion, and queues whose last start ends exactly
-//! now (the strict busy test frees them mid-timestamp) — which is
-//! faithful because a given front's block cause never changes
-//! (`wait_flag` fronts only block on flags, compute/transfer fronts
-//! only on regions) and flags and regions change only at completions.
+//! queues whose blocking state can have changed — the freed queue, a
+//! front blocked on exactly what completed (the flag a `set_flag` sets,
+//! or the in-flight instruction the front's regions conflicted with),
+//! and queues whose last start ends exactly now (the strict busy test
+//! frees them mid-timestamp) — which is exact because a blocked front
+//! stays blocked until its recorded blocker clears, and a re-attempt of
+//! a blocked front changes nothing.
 //! Per-instruction durations come from [`DurationTables`], a
 //! direct-indexed copy of the chip's rate tables built once per
 //! simulator instead of linearly scanned per start.
@@ -38,7 +39,7 @@
 //! once per run, so precomputing its duration moves work out of the
 //! loop rather than duplicating it. Spatial-conflict checks are the one
 //! place the loop still reads the enum, and they are frequent — on the
-//! 243 distinct campaign kernels, 145 603 checks over 175 687 events —
+//! 243 distinct campaign kernels, 134 892 checks over 175 687 events —
 //! so each descriptor also carries a written-buffer and a touched-buffer
 //! mask, and a check compares those before it reads any region. The
 //! regions sit inline in the instruction, so a check the masks let
@@ -236,14 +237,16 @@ const MISSING_RATE: f64 = f64::NAN;
 ///
 /// Conflict checks are not rare: every compute or transfer start asks
 /// whether its regions collide with each in-flight instruction's (on the
-/// 243 distinct campaign kernels, 145 603 checks over 175 687 events,
-/// comparing 158 910 pairs). The descriptor therefore carries one bit
+/// 243 distinct campaign kernels, 134 892 checks over 175 687 events,
+/// comparing 145 063 pairs — after a completion, a region-blocked front
+/// is re-checked only when that completion retires its recorded
+/// blocker). The descriptor therefore carries one bit
 /// per [`Buffer`] the instruction writes and one per buffer it touches
 /// (reads or writes); two instructions can only conflict if one writes
 /// a buffer the other touches, so
-/// [`has_region_conflict`](Run::has_region_conflict) compares these
+/// [`region_blocker`](Run::region_blocker) compares these
 /// masks first and reads the regions themselves only on a shared buffer
-/// (39% of those pairs never get that far). `Buffer` has six variants, so each mask is one byte
+/// (41% of those pairs never get that far). `Buffer` has six variants, so each mask is one byte
 /// and the descriptor stays 16 bytes. The region lists stay behind in
 /// the `Instruction` (inline there, see [`ascend_isa::Regions`]):
 /// flattening every region up front cost more in prepare-pass copying
@@ -285,6 +288,44 @@ fn buffer_mask(regions: &[Region]) -> u8 {
     regions.iter().fold(0, |mask, region| mask | 1 << region.buffer() as u8)
 }
 
+/// The set bits of a per-queue mask, lowest first — `Component::ALL`
+/// order, so walking a mask breaks ties exactly as walking all six
+/// queues does.
+#[inline]
+fn queues_in(mut mask: u8) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let q = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            q
+        })
+    })
+}
+
+/// What a blocked queue front waits for. Only the named event can
+/// unblock it, so a completion re-tries the front only when it is that
+/// event (see [`Run::retry_after_completion`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Blocker {
+    /// A `wait_flag` front: the raw id of the flag at zero. Only a
+    /// `set_flag` of this flag completing can raise it.
+    Flag(u32),
+    /// A compute or transfer front: an in-flight instruction its regions
+    /// conflict with. The front stays blocked at least until that
+    /// instruction's completion event is processed.
+    Region(usize),
+}
+
+impl Blocker {
+    /// The stall recorded when the front finally starts.
+    fn cause(self) -> StallCause {
+        match self {
+            Blocker::Flag(_) => StallCause::Flag,
+            Blocker::Region(_) => StallCause::Region,
+        }
+    }
+}
+
 /// The per-run mutable state of the engine, reusable across runs.
 ///
 /// Everything here is cleared (not reallocated) by [`prepare`] at the
@@ -309,8 +350,6 @@ struct EngineScratch {
     /// by start, which also orders them by end and by index.
     inflight_spill: [PendingQueue; 6],
     flags: FlagTable,
-    /// Whether instruction `i` has started (its record was emitted).
-    started: Vec<bool>,
     /// Flat per-instruction descriptors, rebuilt each run.
     descs: Vec<InstrDesc>,
 }
@@ -336,8 +375,6 @@ impl EngineScratch {
         for queue in &mut self.inflight_spill {
             queue.clear();
         }
-        self.started.clear();
-        self.started.resize(kernel.len(), false);
         self.descs.clear();
         let mut dense_flags = 0u32;
         for (index, instr) in kernel.instructions().iter().enumerate() {
@@ -619,9 +656,23 @@ impl Simulator {
         kernel: &Kernel,
         sink: &mut S,
     ) -> Result<RunSummary, SimError> {
+        self.check(kernel)?;
+        self.run(kernel, &self.chip, &self.tables, None, sink)
+    }
+
+    /// Runs the checks [`simulate_into`](Simulator::simulate_into) makes
+    /// before the engine starts: the chip spec first, then the kernel's
+    /// static validation. A caller that times the engine on its own runs
+    /// this, then [`simulate_unchecked_into`](Simulator::simulate_unchecked_into).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Arch`] when the chip spec is invalid, otherwise
+    /// [`SimError::Validation`] when the kernel fails validation.
+    pub fn check(&self, kernel: &Kernel) -> Result<(), SimError> {
         self.check_spec()?;
         validate(kernel, &self.chip)?;
-        self.run(kernel, &self.chip, &self.tables, None, sink)
+        Ok(())
     }
 
     /// Executes `kernel` without static validation.
@@ -733,9 +784,11 @@ impl Simulator {
             busy_until: [0.0; 6],
             head_index: [NO_INSTR; 6],
             head_end: [0.0; 6],
+            head_mask: 0,
             spill_mask: 0,
             wake_at: [f64::INFINITY; 6],
-            block_reason: [None; 6],
+            wake_mask: 0,
+            blocked: [None; 6],
             outstanding: 0,
             completed: 0,
             max_end: 0.0,
@@ -780,25 +833,32 @@ struct Run<'a, S: TraceSink> {
     /// start its next front before that completion event is processed
     /// (the ended instruction stays in flight until then).
     busy_until: [f64; 6],
-    /// Head of each queue's in-flight FIFO ([`NO_INSTR`] when nothing
-    /// is in flight): the earliest-ending started-but-unfinished
+    /// Head of each queue's in-flight FIFO (live where `head_mask` has
+    /// the queue's bit): the earliest-ending started-but-unfinished
     /// instruction, the only per-queue candidate for the completion
     /// scan. Later entries — rare, same-timestamp ties only — spill to
     /// `scratch.inflight_spill`.
     head_index: [usize; 6],
     /// Completion time of each `head_index` entry.
     head_end: [f64; 6],
+    /// Bitmask of queues with an in-flight head. Usually only two or
+    /// three queues are live, so the event scan and the conflict check
+    /// visit the set bits instead of all six slots.
+    head_mask: u8,
     /// Bitmask of queues with spilled (second-and-later) in-flight
     /// entries; keeps the spill loops off the hot conflict check.
     spill_mask: u8,
-    /// Pending wake per queue: the time its front becomes available
-    /// (`f64::INFINITY` when none). Each queue holds at most one live
-    /// wake — a front cannot start before its available time, so it
-    /// cannot change out from under a scheduled wake, and successive
-    /// fronts' available times strictly increase.
+    /// Pending wake per queue (live where `wake_mask` has the queue's
+    /// bit): the time its front becomes available. Each queue holds at
+    /// most one live wake — a front cannot start before its available
+    /// time, so it cannot change out from under a scheduled wake, and
+    /// successive fronts' available times strictly increase.
     wake_at: [f64; 6],
-    /// Last observed blocking cause of each queue's front instruction.
-    block_reason: [Option<StallCause>; 6],
+    /// Bitmask of queues with a live wake.
+    wake_mask: u8,
+    /// What each queue's front last blocked on (`None` when it has not
+    /// blocked since it became the front).
+    blocked: [Option<Blocker>; 6],
     outstanding: usize,
     completed: usize,
     /// Running maximum of emitted record ends — the trace total.
@@ -816,16 +876,16 @@ impl<'a, S: TraceSink> Run<'a, S> {
             // wakes, completions by ascending instruction index. Only
             // each queue's *earliest* in-flight instruction (the FIFO
             // head) can be next — within a queue, ends and indices both
-            // increase front-to-back — so a six-head scan plus six wake
-            // slots replaces pop+push.
+            // increase front-to-back — so a scan over the live heads
+            // plus the live wakes replaces pop+push.
+            if self.head_mask | self.wake_mask == 0 {
+                break;
+            }
             let mut time = f64::INFINITY;
             let mut complete_q = NO_INSTR;
             let mut complete_index = NO_INSTR;
-            for q in 0..6 {
+            for q in queues_in(self.head_mask) {
                 let index = self.head_index[q];
-                if index == NO_INSTR {
-                    continue;
-                }
                 let end = self.head_end[q];
                 if complete_q == NO_INSTR
                     || end.total_cmp(&time).is_lt()
@@ -837,18 +897,15 @@ impl<'a, S: TraceSink> Run<'a, S> {
                 }
             }
             let mut wake_q = NO_INSTR;
-            for q in 0..6 {
+            for q in queues_in(self.wake_mask) {
                 let at = self.wake_at[q];
                 // Strict: completions win ties, earlier queue wins
                 // between equal wakes (either order is a no-op for the
-                // later one). `INFINITY` slots never win a strict test.
+                // later one).
                 if at.total_cmp(&time).is_lt() {
                     time = at;
                     wake_q = q;
                 }
-            }
-            if complete_q == NO_INSTR && wake_q == NO_INSTR {
-                break;
             }
             let now = time;
             self.clock = now;
@@ -883,32 +940,40 @@ impl<'a, S: TraceSink> Run<'a, S> {
                 // which would have to reason about same-timestamp ties,
                 // the exact trap the golden suite caught on the
                 // completion path — buys nothing here.
-                self.wake_at[wake_q] = f64::INFINITY;
+                self.wake_mask &= !(1 << wake_q);
                 self.try_start_all(now)?;
             } else {
                 self.inflight_pop(complete_q);
-                let was_set_flag = self.scratch.descs[complete_index].kind == Kind::SetFlag;
                 let barrier_released = self.finish(complete_index, now);
                 if barrier_released {
                     // A released barrier just dispatched fresh fronts to
                     // (necessarily idle and empty) queues: try them all.
                     self.try_start_all(now)?;
                 } else {
-                    self.retry_after_completion(complete_q, was_set_flag, now)?;
+                    self.retry_after_completion(complete_q, complete_index, now)?;
                 }
             }
         }
-        if self.completed != self.kernel.len() || self.scratch.started.iter().any(|&s| !s) {
+        // Every finished instruction started, so a full count means the
+        // whole kernel ran.
+        if self.completed != self.kernel.len() {
             return Err(SimError::Deadlock(Box::new(self.forensics())));
         }
         Ok(RunSummary { total_cycles: self.max_end, events: processed })
     }
 
-    /// Re-attempts starts after the instruction on queue `fq` completed:
-    /// the freed queue itself, every flag-blocked queue when a
-    /// `set_flag` completed, every region-blocked queue (any completion
-    /// can release a spatial dependency), and every queue whose last
-    /// started instruction ends at exactly `now`. The last gate is the
+    /// Re-attempts starts after instruction `done` on queue `fq`
+    /// completed: the freed queue itself, every queue whose front is
+    /// blocked on what this completion changed — a `wait_flag` on the
+    /// flag `done` sets, or a region conflict with `done` itself — and
+    /// every queue whose last started instruction ends at exactly `now`.
+    /// The blocked-on rule is exact: a front blocked on flag F stays
+    /// blocked until a `set_flag` of F completes (counters rise only
+    /// there), and a front blocked on a conflict with in-flight
+    /// instruction B stays blocked at least until B's completion is
+    /// processed (B is in flight until then). A re-try of a front that
+    /// is still blocked changes nothing but the recorded blocker, so
+    /// skipping it changes no record. The last gate is the
     /// subtle one: the busy test is *strict* (`busy_until > now`), so a
     /// queue becomes startable the moment simulated time reaches its
     /// last end — at the *first* event carrying that timestamp, which
@@ -917,25 +982,19 @@ impl<'a, S: TraceSink> Run<'a, S> {
     /// everyone per event; skipping a tied queue here let the freed
     /// queue's front start first and claim a region out of
     /// `Component::ALL` order (caught by the golden differential suite
-    /// on MobileNetV3's pipelined cast kernel). Skipping the remaining
-    /// queues is faithful because their attempts were no-ops: a front's
-    /// block cause never changes, and flag counters and in-flight
-    /// regions change only at completions.
+    /// on MobileNetV3's pipelined cast kernel).
     #[inline]
-    fn retry_after_completion(
-        &mut self,
-        fq: usize,
-        was_set_flag: bool,
-        now: f64,
-    ) -> Result<(), SimError> {
+    fn retry_after_completion(&mut self, fq: usize, done: usize, now: f64) -> Result<(), SimError> {
+        let desc = self.scratch.descs[done];
+        let set_flag = (desc.kind == Kind::SetFlag).then_some(desc.flag);
         for component in Component::ALL {
             let q = component.index();
             let affected = q == fq
                 || self.busy_until[q] == now
-                || match self.block_reason[q] {
-                    Some(StallCause::Flag) => was_set_flag,
-                    Some(StallCause::Region) => true,
-                    _ => false,
+                || match self.blocked[q] {
+                    Some(Blocker::Flag(flag)) => set_flag == Some(flag),
+                    Some(Blocker::Region(blocker)) => blocker == done,
+                    None => false,
                 };
             if affected {
                 self.try_start(component, now)?;
@@ -944,16 +1003,14 @@ impl<'a, S: TraceSink> Run<'a, S> {
         Ok(())
     }
 
-    /// Finalizes `record` — marks its instruction started, folds its end
-    /// into the running total — and hands it to the sink.
+    /// Finalizes `record` — folds its end into the running total — and
+    /// hands it to the sink.
     #[inline]
     fn emit(&mut self, record: InstrRecord) {
-        let index = record.index;
         if record.end > self.max_end {
             self.max_end = record.end;
         }
-        self.scratch.started[index] = true;
-        self.sink.emit(&self.instrs[index], record);
+        self.sink.emit(&self.instrs[record.index], record);
     }
 
     /// Snapshots engine state into a [`DeadlockReport`]. Called at
@@ -978,25 +1035,11 @@ impl<'a, S: TraceSink> Run<'a, S> {
                     });
                     BlockCause::Flag { flag: flag.raw() }
                 }
-                Instruction::Compute(_) | Instruction::Transfer(_)
-                    if self.has_region_conflict(front_index) =>
-                {
-                    let conflicting_with = self
-                        .head_index
-                        .iter()
-                        .copied()
-                        .chain(
-                            self.scratch
-                                .inflight_spill
-                                .iter()
-                                .flat_map(PendingQueue::iter)
-                                .map(|&(other, _)| other),
-                        )
-                        .find(|&other| {
-                            other != NO_INSTR && instr.conflicts_with(&instructions[other])
-                        })
-                        .unwrap_or(front_index);
-                    BlockCause::Region { conflicting_with }
+                Instruction::Compute(_) | Instruction::Transfer(_) => {
+                    match self.region_blocker(front_index) {
+                        Some(conflicting_with) => BlockCause::Region { conflicting_with },
+                        None => BlockCause::NotStarted,
+                    }
                 }
                 _ => BlockCause::NotStarted,
             };
@@ -1021,26 +1064,32 @@ impl<'a, S: TraceSink> Run<'a, S> {
     }
 
     /// Every `set_flag` of `flag` that has not started (and therefore, at
-    /// quiescence, never completed), with its location. Deadlock-only:
-    /// this allocates its result `Vec` freely because the event loop
-    /// never reaches it on a successful run.
+    /// quiescence, never completed), with its location, in program
+    /// order. An instruction that has not started is either still queued
+    /// (dispatched, waiting in its queue) or not yet dispatched. Deadlock-
+    /// and cancellation-only: this allocates its result `Vec` freely
+    /// because the event loop never reaches it on a successful run.
     fn pending_setters(&self, flag: u32) -> Vec<PendingSetter> {
-        self.instrs
-            .iter()
-            .enumerate()
-            .filter(|&(i, instr)| {
-                matches!(instr, Instruction::SetFlag { flag: f, .. } if f.raw() == flag)
-                    && !self.scratch.started[i]
+        let descs = &self.scratch.descs;
+        let sets = |i: usize| descs[i].kind == Kind::SetFlag && descs[i].flag == flag;
+        let mut setters: Vec<PendingSetter> = Component::ALL
+            .into_iter()
+            .flat_map(|component| {
+                self.scratch.pending[component.index()].iter().filter(|&&(i, _)| sets(i)).map(
+                    move |&(index, _)| PendingSetter {
+                        index,
+                        location: SetterLocation::Queued(component),
+                    },
+                )
             })
-            .map(|(i, instr)| PendingSetter {
-                index: i,
-                location: if i >= self.next_dispatch {
-                    SetterLocation::Undispatched
-                } else {
-                    instr.queue().map_or(SetterLocation::Undispatched, SetterLocation::Queued)
-                },
-            })
-            .collect()
+            .collect();
+        setters.sort_unstable_by_key(|setter| setter.index);
+        setters.extend(
+            (self.next_dispatch..self.instrs.len())
+                .filter(|&i| sets(i))
+                .map(|index| PendingSetter { index, location: SetterLocation::Undispatched }),
+        );
+        setters
     }
 
     /// Dispatches instructions in program order until a barrier blocks or
@@ -1122,24 +1171,25 @@ impl<'a, S: TraceSink> Run<'a, S> {
         match desc.kind {
             Kind::WaitFlag => {
                 if !self.scratch.flags.try_consume(desc.flag) {
-                    // Blocked; a future SetFlag completion retries us.
-                    self.block_reason[q] = Some(StallCause::Flag);
+                    // Blocked; a set_flag of this flag completing
+                    // retries us.
+                    self.blocked[q] = Some(Blocker::Flag(desc.flag));
                     return Ok(());
                 }
             }
             Kind::Compute | Kind::Transfer => {
-                if self.has_region_conflict(index) {
-                    // Blocked on a spatial dependency; the conflicting
+                if let Some(blocker) = self.region_blocker(index) {
+                    // Blocked on a spatial dependency; that
                     // instruction's completion retries us.
-                    self.block_reason[q] = Some(StallCause::Region);
+                    self.blocked[q] = Some(Blocker::Region(blocker));
                     return Ok(());
                 }
             }
             Kind::SetFlag => {}
             Kind::Barrier => unreachable!("barriers are dispatcher-level"),
         }
-        let stall = match self.block_reason[q].take() {
-            Some(cause) => cause,
+        let stall = match self.blocked[q].take() {
+            Some(blocker) => blocker.cause(),
             None if now > available + 1e-9 => StallCause::QueueBusy,
             None => StallCause::None,
         };
@@ -1171,9 +1221,10 @@ impl<'a, S: TraceSink> Run<'a, S> {
     /// earlier entry's end — so FIFO order is preserved).
     #[inline]
     fn inflight_push(&mut self, q: usize, index: usize, end: f64) {
-        if self.head_index[q] == NO_INSTR {
+        if self.head_mask & (1 << q) == 0 {
             self.head_index[q] = index;
             self.head_end[q] = end;
+            self.head_mask |= 1 << q;
         } else {
             self.scratch.inflight_spill[q].push_back((index, end));
             self.spill_mask |= 1 << q;
@@ -1194,44 +1245,45 @@ impl<'a, S: TraceSink> Run<'a, S> {
             self.head_index[q] = index;
             self.head_end[q] = end;
         } else {
-            self.head_index[q] = NO_INSTR;
+            self.head_mask &= !(1 << q);
         }
     }
 
-    /// Whether `index` spatially conflicts with any in-flight
-    /// instruction. Ended-but-unfinished instructions still conflict —
-    /// the seed keeps them in its `executing` set until their completion
+    /// The first in-flight instruction `index` spatially conflicts with
+    /// — queue heads in `Component::ALL` order, then spilled entries —
+    /// or `None`. Ended-but-unfinished instructions still conflict — the
+    /// seed keeps them in its `executing` set until their completion
     /// event is processed, and block/start ordering at tied timestamps
     /// depends on it.
     ///
     /// The descriptors' buffer masks rule out most pairs before any
     /// region is read.
     #[inline]
-    fn has_region_conflict(&self, index: usize) -> bool {
+    fn region_blocker(&self, index: usize) -> Option<usize> {
         let descs = &self.scratch.descs;
         let desc = descs[index];
         let conflicts = |other: usize| {
             desc.may_conflict(descs[other])
                 && self.instrs[index].conflicts_with(&self.instrs[other])
         };
-        if self.head_index.iter().any(|&other| other != NO_INSTR && conflicts(other)) {
-            return true;
+        let head =
+            queues_in(self.head_mask).map(|q| self.head_index[q]).find(|&other| conflicts(other));
+        if head.is_some() || self.spill_mask == 0 {
+            return head;
         }
-        if self.spill_mask != 0 {
-            return self
-                .scratch
-                .inflight_spill
-                .iter()
-                .flat_map(PendingQueue::iter)
-                .any(|&(other, _)| conflicts(other));
-        }
-        false
+        self.scratch
+            .inflight_spill
+            .iter()
+            .flat_map(PendingQueue::iter)
+            .map(|&(other, _)| other)
+            .find(|&other| conflicts(other))
     }
 
     #[inline]
     fn schedule_wake(&mut self, q: usize, at: f64) {
         // Idempotent: re-scheduling the same front stores the same time.
         self.wake_at[q] = at;
+        self.wake_mask |= 1 << q;
     }
 
     /// Cold path behind the [`MISSING_RATE`] sentinel: the chip spec has
@@ -1274,6 +1326,22 @@ mod tests {
 
     fn ub(offset: u64, len: u64) -> Region {
         Region::new(Buffer::Ub, offset, len)
+    }
+
+    fn l1(offset: u64, len: u64) -> Region {
+        Region::new(Buffer::L1, offset, len)
+    }
+
+    /// Runs `kernel` unchecked on both engines, asserts they agree record
+    /// for record, and returns the fast engine's trace.
+    fn matches_reference(kernel: &Kernel) -> Trace {
+        let fast = sim().simulate_unchecked(kernel).expect("the kernel runs to completion");
+        let seed = crate::reference::ReferenceSimulator::new(ChipSpec::training())
+            .simulate_unchecked(kernel)
+            .expect("the kernel runs to completion on the seed engine");
+        assert_eq!(fast.records(), seed.records());
+        assert_eq!(fast.total_cycles().to_bits(), seed.total_cycles().to_bits());
+        fast
     }
 
     #[test]
@@ -1716,6 +1784,122 @@ mod tests {
         let summary = sim.simulate_into(&kernel, &mut NullSink).unwrap();
         assert_eq!(summary.total_cycles, trace.total_cycles());
         assert!(summary.events > 0);
+    }
+
+    #[test]
+    fn region_blocker_that_clears_first_hands_over_to_the_next() {
+        // The MTE-UB store reads UB bytes written by both a short Vector
+        // compute and a long MTE-GM load. The conflict scan finds the
+        // Vector head first; its completion must re-try the store, which
+        // then blocks on the load until that completes.
+        let mut b = KernelBuilder::new("two_blockers");
+        b.compute(ComputeUnit::Vector, Precision::Fp16, 4096, vec![], vec![ub(0, 1024)]);
+        b.transfer(TransferPath::GmToUb, gm(0, 32 << 10), ub(1024, 32 << 10)).unwrap();
+        b.transfer(TransferPath::UbToGm, ub(0, 2048), gm(1 << 20, 2048)).unwrap();
+        let trace = matches_reference(&b.build());
+        let r = trace.records();
+        assert!(r[0].end < r[1].end, "the first-found blocker must clear first: {r:?}");
+        assert!(r[2].available_at < r[0].end, "the store must block on both: {r:?}");
+        assert_eq!(r[2].start, r[1].end);
+        assert_eq!(r[2].stall, StallCause::Region);
+    }
+
+    #[test]
+    fn wait_stays_blocked_while_another_flag_is_set() {
+        let mut b = KernelBuilder::new("other_flag");
+        let (f, g) = (b.new_flag(), b.new_flag());
+        b.set_flag(Component::Scalar, g);
+        b.wait_flag(Component::Vector, f);
+        b.wait_flag(Component::Cube, g);
+        b.transfer(TransferPath::GmToUb, gm(0, 16 << 10), ub(0, 16 << 10)).unwrap();
+        b.set_flag(Component::MteGm, f);
+        let trace = matches_reference(&b.build());
+        let r = trace.records();
+        assert!(r[0].end < r[1].start, "set_flag(G) completes while wait_flag(F) blocks");
+        assert!(r[2].end < r[1].start, "wait_flag(G) runs while wait_flag(F) blocks");
+        assert_eq!(r[1].start, r[4].end, "only set_flag(F) releases wait_flag(F)");
+        assert_eq!(r[1].stall, StallCause::Flag);
+    }
+
+    #[test]
+    fn blocker_ending_with_another_completion_keeps_seed_order() {
+        // L1->UB (MTE-L1) and UB->L1 (MTE-UB) share one rate spec, so a
+        // transfer 512 bytes longer dispatched one slot (8 cycles)
+        // earlier ends at the same cycle. The Vector compute blocks on
+        // the L1->UB load; a second UB->L1 store queues behind the first
+        // and reads the UB bytes the compute writes. Both tie orders run:
+        // the blocker completing before, and after, the other queue.
+        for blocker_first in [true, false] {
+            let mut b = KernelBuilder::new("tied");
+            let load = |b: &mut KernelBuilder, bytes| {
+                b.transfer(TransferPath::L1ToUb, l1(0, bytes), ub(0, bytes)).unwrap();
+            };
+            let store = |b: &mut KernelBuilder, bytes| {
+                b.transfer(TransferPath::UbToL1, ub(128 << 10, bytes), l1(512 << 10, bytes))
+                    .unwrap();
+            };
+            if blocker_first {
+                load(&mut b, 4608);
+                store(&mut b, 4096);
+            } else {
+                store(&mut b, 4608);
+                load(&mut b, 4096);
+            }
+            let (blocker, other) = if blocker_first { (0, 1) } else { (1, 0) };
+            b.compute(
+                ComputeUnit::Vector,
+                Precision::Fp16,
+                256,
+                vec![ub(0, 64)],
+                vec![ub(64 << 10, 64)],
+            );
+            b.transfer(TransferPath::UbToL1, ub(64 << 10, 1024), l1(768 << 10, 1024)).unwrap();
+            let trace = matches_reference(&b.build());
+            let r = trace.records();
+            assert_eq!(r[blocker].end, r[other].end, "the construction must tie: {r:?}");
+            assert_eq!(r[2].stall, StallCause::Region);
+            if blocker_first {
+                // The compute starts at the tie and the queued store
+                // waits for it.
+                assert_eq!(r[2].start, r[blocker].end);
+                assert_eq!(r[3].start, r[2].end);
+            } else {
+                // The store claims its UB bytes at the tie first, so
+                // the compute then blocks on the store.
+                assert_eq!(r[3].start, r[other].end);
+                assert_eq!(r[2].start, r[3].end);
+            }
+        }
+    }
+
+    #[test]
+    fn pending_setters_list_queued_then_undispatched_in_program_order() {
+        let mut b = KernelBuilder::new("setters");
+        let (f, g, h) = (b.new_flag(), b.new_flag(), b.new_flag());
+        b.wait_flag(Component::Cube, g);
+        b.set_flag(Component::Cube, f);
+        b.wait_flag(Component::Scalar, h);
+        b.set_flag(Component::Scalar, f);
+        b.wait_flag(Component::Vector, f);
+        b.barrier_all();
+        b.set_flag(Component::MteGm, f);
+        let kernel = b.build();
+        let Err(SimError::Deadlock(report)) = sim().simulate_unchecked(&kernel) else {
+            panic!("no wait can be satisfied");
+        };
+        let edge = report.wait_edges.iter().find(|e| e.flag == f.raw()).expect("a wait on f");
+        assert_eq!(
+            edge.pending_setters,
+            vec![
+                PendingSetter { index: 1, location: SetterLocation::Queued(Component::Cube) },
+                PendingSetter { index: 3, location: SetterLocation::Queued(Component::Scalar) },
+                PendingSetter { index: 6, location: SetterLocation::Undispatched },
+            ]
+        );
+        for other in [g, h] {
+            let edge = report.wait_edges.iter().find(|e| e.flag == other.raw()).unwrap();
+            assert!(edge.pending_setters.is_empty(), "{other:?} has no setter");
+        }
     }
 
     #[test]
